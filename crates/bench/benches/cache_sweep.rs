@@ -88,7 +88,7 @@ fn bench_cache_sweep(c: &mut Criterion) {
         // Warm the cache once outside the timer: the steady state of
         // revisiting a level across batches is all hits.
         let mut cache = PliCache::new(BUDGET);
-        let _ = validate_many_cached(&rel, &jobs, &full, 1, MIN_JOBS, &mut cache);
+        let _ = validate_many_cached(&rel, &jobs, &full, 1, &mut cache);
 
         for threads in [1usize, 2] {
             group.bench_with_input(
@@ -108,18 +108,12 @@ fn bench_cache_sweep(c: &mut Criterion) {
                 BenchmarkId::new("cache/threads", threads),
                 &threads,
                 |b, &threads| {
+                    let workers = adaptive_workers(threads, jobs.len(), MIN_JOBS);
                     b.iter(|| {
-                        validate_many_cached(
-                            &rel,
-                            black_box(&jobs),
-                            &full,
-                            threads,
-                            MIN_JOBS,
-                            &mut cache,
-                        )
-                        .iter()
-                        .map(|r| r.outcomes.len())
-                        .sum::<usize>()
+                        validate_many_cached(&rel, black_box(&jobs), &full, workers, &mut cache)
+                            .iter()
+                            .map(|r| r.outcomes.len())
+                            .sum::<usize>()
                     })
                 },
             );

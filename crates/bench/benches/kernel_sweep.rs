@@ -1,10 +1,12 @@
-//! PR 9 sweep: the explicitly vectorized PLI-intersection kernel and
-//! the sampling-guided validation ordering, measured on the six paper
-//! dataset shapes. Every A/B pair is measured with **interleaved**
-//! samples (`bench_pair`): on this shared-CPU container the machine
-//! drifts over the minutes a contiguous sample block takes, and that
-//! drift used to land asymmetrically on whichever arm ran second. Two
-//! sweeps land in `BENCH_pr9.json` at the workspace root:
+//! Kernel sweep: the explicitly vectorized PLI-intersection kernel
+//! against the scalar merge on the six paper dataset shapes. Every A/B
+//! pair is measured with **interleaved** samples (`bench_pair`): on a
+//! shared CPU the machine drifts over the minutes a contiguous sample
+//! block takes, and that drift used to land asymmetrically on whichever
+//! arm ran second. Rows land in `BENCH_pr9.json` at the
+//! workspace root (the committed copy also keeps the `ordering/*` rows
+//! of the sampling-guided validation ordering, since removed; a rerun
+//! drops them):
 //!
 //! * `kernel/<shape>/{scalar,simd}` — the top non-singleton clusters of
 //!   the two busiest attributes of each shape (at `DYNFD_SCALE_ROWS`
@@ -14,55 +16,20 @@
 //!   workload is merge-shaped on purpose: comparable cluster sizes stay
 //!   under the gallop ratio, which is exactly the path the kernel
 //!   vectorizes. Acceptance bar: `simd` beats `scalar` on every shape.
-//! * `ordering/<shape>/{unordered,ordered}` — a full engine
-//!   (bootstrap excluded) applying the same change batch with
-//!   `sample_ordering` off and on, at `DYNFD_ORDERING_ROWS` rows
-//!   (default 1,000 — each iteration clones the engine and re-applies
-//!   a 2,000-op batch, which on the wide `actor` shape costs seconds
-//!   even at this size, so this sweep runs well below paper scale; the
-//!   clone cost is identical in both arms).
-//!   Ordered rows carry `jobs_skipped`/`jobs_flagged`/`jobs_probed`
-//!   annotations so the report shows *why* a shape did or didn't speed
-//!   up. Covers are asserted identical between the arms before any
-//!   sample is taken.
-//! * `ordering/burst/{unordered,ordered}` — a deterministic adversarial
-//!   shape where induction provably specializes four of five level-1
-//!   jobs away (see [`bench_burst`]): the skip path's payoff, measured
-//!   rather than assumed.
 
 use criterion::{black_box, criterion_group, Criterion};
-use dynfd_common::Schema;
-use dynfd_core::{DynFd, DynFdConfig};
 use dynfd_datagen::{GeneratedDataset, PAPER_PROFILES};
-use dynfd_relation::{intersect_clusters, kernel, Batch, DynamicRelation};
-use std::sync::Mutex;
+use dynfd_relation::{intersect_clusters, kernel, DynamicRelation};
 
 /// Top clusters taken per attribute for the kernel workload: 12×12
 /// pairwise intersections per shape.
 const TOP_CLUSTERS: usize = 12;
-
-/// Change-stream prefix retained per shape (see `scale.rs`).
-const MAX_CHANGES: usize = 40_000;
-
-/// Ops in the ordering sweep's measured batch.
-const ORDERING_BATCH: usize = 2_000;
-
-/// Per-shape ordering statistics captured during the bench pass and
-/// spliced into the report rows by `main`.
-static ORDERING_STATS: Mutex<Vec<(String, usize, usize, usize)>> = Mutex::new(Vec::new());
 
 fn scale_rows() -> usize {
     std::env::var("DYNFD_SCALE_ROWS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1_000_000)
-}
-
-fn ordering_rows() -> usize {
-    std::env::var("DYNFD_ORDERING_ROWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000)
 }
 
 /// The two attributes with the most non-singleton clusters — the PLIs
@@ -138,216 +105,23 @@ fn bench_kernel(c: &mut Criterion) {
     kernel::set_simd_enabled(true);
 }
 
-fn bench_ordering(c: &mut Criterion) {
-    c.sample_size(dynfd_bench::bench_samples(11));
-    let rows = ordering_rows();
-
-    for profile in PAPER_PROFILES {
-        let mut p = profile.scaled_to_rows(rows);
-        p.changes = p.changes.min(MAX_CHANGES);
-        eprintln!(
-            "[ordering] generating + bootstrapping {} at {} rows...",
-            p.name, p.initial_rows
-        );
-        let data = GeneratedDataset::generate(&p);
-        let Some(batch) = data
-            .batches(ORDERING_BATCH, Some(ORDERING_BATCH))
-            .into_iter()
-            .next()
-        else {
-            continue;
-        };
-        let config = |ordering: bool| DynFdConfig {
-            sample_ordering: ordering,
-            parallelism: 1,
-            ..DynFdConfig::default()
-        };
-        // One HyFD bootstrap; the ordered arm reuses the same cover.
-        let unordered = DynFd::new(data.to_relation(), config(false));
-        let ordered = DynFd::with_cover(
-            data.to_relation(),
-            unordered.positive_cover().clone(),
-            config(true),
-        );
-
-        // Capture the ordering statistics once, and assert the arms
-        // agree before any timing: a scheduling bug would otherwise
-        // show up as a "speedup".
-        let mut probe = ordered.clone();
-        let m = probe
-            .apply_batch(&batch)
-            .expect("generated batch applies")
-            .metrics;
-        {
-            let mut check = unordered.clone();
-            check.apply_batch(&batch).expect("generated batch applies");
-            assert!(
-                check.state_eq(&probe),
-                "{}: ordered and unordered runs diverged",
-                p.name
-            );
-        }
-        ORDERING_STATS.lock().expect("stats lock").push((
-            format!("ordering/{}/ordered", p.name),
-            m.sampling_probes,
-            m.sampling_flagged,
-            m.sampling_skipped,
-        ));
-        let mut group = c.benchmark_group(format!("ordering/{}", p.name));
-        group.bench_pair(
-            "unordered",
-            || unordered.clone(),
-            |mut engine| engine.apply_batch(black_box(&batch)).expect("applies"),
-            "ordered",
-            || ordered.clone(),
-            |mut engine| engine.apply_batch(black_box(&batch)).expect("applies"),
-        );
-        group.finish();
-    }
-}
-
-/// Adversarial `ordering/burst` arm: the scaled-up twin of the
-/// `scheduler_skips_refuted_jobs_deterministically` integration test.
-/// Four blocks of `DYNFD_ORDERING_ROWS` records (block `a` shares one
-/// value in column `a` and one in column 5) shape the cover's level 1
-/// into `{0} -> {1,2,3,4,5}` plus `{a} -> {5}`, and the measured batch
-/// (six violating pairs agreeing exactly on `{0,1,2,3,4}`, then an
-/// all-alike noise tail) makes the scheduler flag job `{0}`, skip the
-/// four refuted jobs, and terminate the level early — while the
-/// unordered arm pays four `O(rows/4)` dirty-cluster scans for the
-/// same verdicts. The paper shapes above measure the scheduler's
-/// overhead on organic streams; this arm measures its payoff when the
-/// induction actually specializes jobs away.
-fn bench_burst(c: &mut Criterion) {
-    c.sample_size(dynfd_bench::bench_samples(11));
-    const COLS: usize = 6;
-    // The burst batch is tiny (52 ops vs the shapes' 2000), so the
-    // skipped scans — each O(block) — carry the arm's signal: size the
-    // blocks well above the per-batch fixed costs.
-    let block = (ordering_rows() * 8).max(64);
-    eprintln!("[ordering] building burst shape at {} rows...", block * 4);
-    let mut rows: Vec<Vec<String>> = Vec::with_capacity(block * 4);
-    for a in 1..=4usize {
-        for i in 0..block {
-            rows.push(
-                (0..COLS)
-                    .map(|c| {
-                        if c == a {
-                            format!("B{a}")
-                        } else if c == 5 {
-                            format!("Z{a}")
-                        } else {
-                            format!("b{a}i{i}c{c}")
-                        }
-                    })
-                    .collect(),
-            );
-        }
-    }
-    let schema = Schema::anonymous("burst", COLS);
-    let rel = DynamicRelation::from_rows(schema, &rows).expect("burst rows load");
-
-    let mut batch = Batch::new();
-    for k in 0..6u32 {
-        for j in 0..2u32 {
-            batch.insert(
-                (0..COLS)
-                    .map(|c| match c {
-                        0 => format!("P{k}"),
-                        5 => format!("q{k}{j}"),
-                        c => format!("B{c}"),
-                    })
-                    .collect::<Vec<_>>(),
-            );
-        }
-    }
-    for n in 0..40u32 {
-        batch.insert(
-            (0..COLS)
-                .map(|c| match c {
-                    0 => format!("n{n}"),
-                    5 => "Z".to_string(),
-                    c => format!("B{c}"),
-                })
-                .collect::<Vec<_>>(),
-        );
-    }
-
-    let config = |ordering: bool| DynFdConfig {
-        sample_ordering: ordering,
-        parallelism: 1,
-        ..DynFdConfig::default()
-    };
-    let unordered = DynFd::new(rel.clone(), config(false));
-    let ordered = DynFd::with_cover(rel, unordered.positive_cover().clone(), config(true));
-
-    let mut probe = ordered.clone();
-    let m = probe
-        .apply_batch(&batch)
-        .expect("burst batch applies")
-        .metrics;
-    assert!(
-        m.sampling_skipped >= 4,
-        "burst arm must skip its refuted jobs: {m:?}"
-    );
-    {
-        let mut check = unordered.clone();
-        check.apply_batch(&batch).expect("burst batch applies");
-        assert!(
-            check.state_eq(&probe),
-            "burst: ordered and unordered runs diverged"
-        );
-    }
-    ORDERING_STATS.lock().expect("stats lock").push((
-        "ordering/burst/ordered".to_string(),
-        m.sampling_probes,
-        m.sampling_flagged,
-        m.sampling_skipped,
-    ));
-    let mut group = c.benchmark_group("ordering/burst");
-    group.bench_pair(
-        "unordered",
-        || unordered.clone(),
-        |mut engine| engine.apply_batch(black_box(&batch)).expect("applies"),
-        "ordered",
-        || ordered.clone(),
-        |mut engine| engine.apply_batch(black_box(&batch)).expect("applies"),
-    );
-    group.finish();
-}
-
-criterion_group!(benches, bench_kernel, bench_ordering, bench_burst);
+criterion_group!(benches, bench_kernel);
 
 fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     benches();
-    let stats = ORDERING_STATS.lock().expect("stats lock").clone();
     criterion::write_json_report(
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr9.json"),
         &[
-            ("bench", "simd kernel + sampling-ordering sweep".into()),
+            ("bench", "simd kernel sweep".into()),
             ("kernel_rows_per_shape", scale_rows().into()),
-            ("ordering_rows_per_shape", ordering_rows().into()),
-            ("ordering_batch_ops", ORDERING_BATCH.into()),
             ("detected_kernel", kernel::detected_kernel().name().into()),
             ("kernel_lanes", kernel::detected_kernel().lanes().into()),
             ("available_cores", cores.into()),
         ],
-        &|r| {
-            stats
-                .iter()
-                .find(|(id, _, _, _)| *id == r.id)
-                .map(|&(_, probes, flagged, skipped)| {
-                    vec![
-                        ("jobs_probed".to_string(), probes.into()),
-                        ("jobs_flagged".to_string(), flagged.into()),
-                        ("jobs_skipped".to_string(), skipped.into()),
-                    ]
-                })
-                .unwrap_or_default()
-        },
+        &|_| Vec::new(),
     )
     .expect("write BENCH_pr9.json");
 }

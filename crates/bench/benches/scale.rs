@@ -28,8 +28,8 @@ use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use dynfd_common::{AttrSet, Schema};
 use dynfd_datagen::{GeneratedDataset, PAPER_PROFILES};
 use dynfd_relation::{
-    validate, validate_many, validate_many_cached, validate_rowstore, DynamicRelation, PliCache,
-    RowStoreRelation, ValidationJob, ValidationOptions,
+    adaptive_workers, validate, validate_many, validate_many_cached, validate_rowstore,
+    DynamicRelation, PliCache, RowStoreRelation, ValidationJob, ValidationOptions,
 };
 
 /// Change-stream prefix retained per shape: enough to carve the batch
@@ -225,7 +225,7 @@ fn bench_pr4_shape(c: &mut Criterion) {
     for arity in [1usize, 2, 3] {
         let jobs = level_jobs(arity);
         let mut cache = PliCache::new(BUDGET);
-        let _ = validate_many_cached(&rel, &jobs, &full, 1, MIN_JOBS, &mut cache);
+        let _ = validate_many_cached(&rel, &jobs, &full, 1, &mut cache);
         let mut group = c.benchmark_group(format!("pr4_shape/arity{arity}"));
         for threads in [1usize, 2] {
             group.bench_with_input(
@@ -244,18 +244,12 @@ fn bench_pr4_shape(c: &mut Criterion) {
                 BenchmarkId::new("cache/threads", threads),
                 &threads,
                 |b, &threads| {
+                    let workers = adaptive_workers(threads, jobs.len(), MIN_JOBS);
                     b.iter(|| {
-                        validate_many_cached(
-                            &rel,
-                            black_box(&jobs),
-                            &full,
-                            threads,
-                            MIN_JOBS,
-                            &mut cache,
-                        )
-                        .iter()
-                        .map(|r| r.outcomes.len())
-                        .sum::<usize>()
+                        validate_many_cached(&rel, black_box(&jobs), &full, workers, &mut cache)
+                            .iter()
+                            .map(|r| r.outcomes.len())
+                            .sum::<usize>()
                     })
                 },
             );

@@ -115,27 +115,6 @@ pub struct DynFdConfig {
     /// until an explicit snapshot). Ignored by the purely in-memory
     /// [`DynFd`](crate::DynFd); covers and deltas never depend on it.
     pub snapshot_every: usize,
-    /// **Extension**: use the explicitly vectorized PLI-intersection
-    /// kernel (`dynfd_relation::kernel`) where the CPU supports it.
-    /// Output-identical to the scalar merge by construction — this knob
-    /// exists for ablation benchmarks and as an escape hatch, not
-    /// because the paths can disagree.
-    pub simd: bool,
-    /// **Extension** (EAIFD lineage): sampling-guided validation
-    /// *ordering* in the insert phase. Each level's candidate jobs are
-    /// probed against a small deterministic sample of dirty clusters;
-    /// jobs the probe proves invalid are validated first so their
-    /// witnesses specialize away sibling candidates before those are
-    /// validated, and candidates the induced witnesses refute are
-    /// skipped outright. Covers, verdicts, violation annotations, and
-    /// cache state are bit-identical to the unordered run; only the
-    /// validation schedule (and therefore wall-clock time) changes.
-    pub sample_ordering: bool,
-    /// Dirty clusters each sampling probe may inspect per job (the
-    /// probe's work budget). Higher values flag more invalid jobs at
-    /// higher probe cost. Ignored when
-    /// [`DynFdConfig::sample_ordering`] is off.
-    pub sample_budget: usize,
 }
 
 impl Default for DynFdConfig {
@@ -155,9 +134,6 @@ impl Default for DynFdConfig {
             pli_cache_bytes: 16 << 20,
             parallel_min_jobs: 16,
             snapshot_every: 64,
-            simd: true,
-            sample_ordering: true,
-            sample_budget: 4,
         }
     }
 }
@@ -177,36 +153,29 @@ impl DynFdConfig {
     }
 
     /// Every combination of the four §6.5 ablation toggles crossed with
-    /// the PLI-cache, SIMD-kernel, and sampling-ordering axes (128
-    /// configs), in a fixed deterministic order from
-    /// [`DynFdConfig::baseline`]-without-everything to the cached,
-    /// vectorized, sampling-ordered default. The cross-validation tests
-    /// and the testkit's differential runner iterate this matrix so that
-    /// each pruning strategy — and each acceleration layer — is
-    /// exercised both alone and in combination. The three acceleration
-    /// axes must never change covers or deltas, so every row of this
-    /// matrix is required to produce the identical result.
+    /// the PLI-cache axis (32 configs), in a fixed deterministic order
+    /// from [`DynFdConfig::baseline`]-without-cache to the cached
+    /// default. The cross-validation tests and the testkit's
+    /// differential runner iterate this matrix so that each pruning
+    /// strategy — and the cache — is exercised both alone and in
+    /// combination. The cache must never change covers or deltas, so
+    /// every row of this matrix is required to produce the identical
+    /// result.
     pub fn ablation_matrix() -> Vec<DynFdConfig> {
-        let mut configs = Vec::with_capacity(128);
-        for ordering in [false, true] {
-            for simd in [false, true] {
-                for cache in [false, true] {
-                    for cluster in [false, true] {
-                        for search in [SearchMode::Naive, SearchMode::Progressive] {
-                            for validation in [false, true] {
-                                for dfs in [false, true] {
-                                    configs.push(DynFdConfig {
-                                        cluster_pruning: cluster,
-                                        violation_search: search,
-                                        validation_pruning: validation,
-                                        depth_first_search: dfs,
-                                        pli_cache: cache,
-                                        simd,
-                                        sample_ordering: ordering,
-                                        ..DynFdConfig::default()
-                                    });
-                                }
-                            }
+        let mut configs = Vec::with_capacity(32);
+        for cache in [false, true] {
+            for cluster in [false, true] {
+                for search in [SearchMode::Naive, SearchMode::Progressive] {
+                    for validation in [false, true] {
+                        for dfs in [false, true] {
+                            configs.push(DynFdConfig {
+                                cluster_pruning: cluster,
+                                violation_search: search,
+                                validation_pruning: validation,
+                                depth_first_search: dfs,
+                                pli_cache: cache,
+                                ..DynFdConfig::default()
+                            });
                         }
                     }
                 }
@@ -242,17 +211,10 @@ impl DynFdConfig {
         } else {
             parts.join("+")
         };
-        // The acceleration layers are on by default, so only their
-        // absence is marked — the paper-figure labels
-        // ("4.3+5.3+4.2+5.2", "-") stay intact.
+        // The cache is on by default, so only its absence is marked —
+        // the paper-figure labels ("4.3+5.3+4.2+5.2", "-") stay intact.
         if !self.pli_cache {
             label.push_str(" (no-cache)");
-        }
-        if !self.simd {
-            label.push_str(" (no-simd)");
-        }
-        if !self.sample_ordering {
-            label.push_str(" (no-order)");
         }
         label
     }
@@ -292,21 +254,17 @@ mod tests {
     #[test]
     fn ablation_matrix_covers_all_toggle_combinations() {
         let matrix = DynFdConfig::ablation_matrix();
-        assert_eq!(matrix.len(), 128);
+        assert_eq!(matrix.len(), 32);
         let labels: std::collections::BTreeSet<String> =
             matrix.iter().map(|c| c.strategy_label()).collect();
-        assert_eq!(labels.len(), 128, "labels are distinct");
+        assert_eq!(labels.len(), 32, "labels are distinct");
         assert!(labels.contains("-"));
         assert!(labels.contains("- (no-cache)"));
         assert!(labels.contains("4.3+5.3+4.2+5.2"));
         assert!(labels.contains("4.3+5.3+4.2+5.2 (no-cache)"));
-        assert!(labels.contains("4.3+5.3+4.2+5.2 (no-simd) (no-order)"));
-        assert!(labels.contains("- (no-cache) (no-simd) (no-order)"));
-        // Every acceleration axis appears in both settings for every
-        // toggle combination.
-        assert_eq!(matrix.iter().filter(|c| c.pli_cache).count(), 64);
-        assert_eq!(matrix.iter().filter(|c| c.simd).count(), 64);
-        assert_eq!(matrix.iter().filter(|c| c.sample_ordering).count(), 64);
+        // The cache axis appears in both settings for every toggle
+        // combination.
+        assert_eq!(matrix.iter().filter(|c| c.pli_cache).count(), 16);
     }
 
     #[test]
@@ -316,11 +274,7 @@ mod tests {
         assert_eq!(c.pli_cache_bytes, 16 << 20);
         assert_eq!(c.parallel_min_jobs, 16);
         assert_eq!(c.snapshot_every, 64, "periodic snapshots on by default");
-        assert!(c.simd, "vectorized kernel on by default");
-        assert!(c.sample_ordering, "sampling-guided ordering on by default");
-        assert_eq!(c.sample_budget, 4);
-        // The default label is unchanged by the acceleration layers
-        // being on.
+        // The default label is unchanged by the cache being on.
         assert_eq!(c.strategy_label(), "4.3+5.3+4.2+5.2");
     }
 

@@ -91,35 +91,10 @@ impl DynFd {
             // verdicts are applied only after all of them return), so they
             // shard across workers; results come back in job order, which
             // keeps the verdict application — and hence the covers —
-            // bit-identical to the sequential traversal. Under sampling
-            // ordering (`ordering.rs`), likely-invalid jobs run first and
-            // jobs whose candidates the early witnesses certainly evict
-            // are skipped (`None`) — such a job would have reported its
-            // full RHS set as violated and contributed only `continue`d
-            // fold entries, so it counts fully toward the inefficiency
-            // threshold and feeds nothing into the witness application.
+            // bit-identical to the sequential traversal.
             let mut invalid: Vec<(Fd, (RecordId, RecordId))> = Vec::new();
-            let mut skipped_invalid = 0usize;
-            let results = if self.ordering_enabled(jobs.len()) {
-                self.run_level_ordered(
-                    &jobs,
-                    &opts,
-                    first_new,
-                    &applied.inserted_slots,
-                    level,
-                    metrics,
-                )?
-            } else {
-                self.run_level_validations(&jobs, &opts)
-                    .into_iter()
-                    .map(Some)
-                    .collect()
-            };
-            for (&(lhs, live), result) in jobs.iter().zip(&results) {
-                let Some(result) = result else {
-                    skipped_invalid += live.len();
-                    continue;
-                };
+            let results = self.run_level_validations(&jobs, &opts);
+            for (&(lhs, _), result) in jobs.iter().zip(&results) {
                 metrics.clusters_pruned += result.stats.clusters_pruned;
                 metrics.clusters_visited += result.stats.clusters_visited;
                 for (r, a, b) in result.violations() {
@@ -137,7 +112,7 @@ impl DynFd {
             // still violates; on wide relations those guaranteed-invalid
             // candidates snowball level over level into millions of
             // useless validations.
-            let invalid_count = invalid.len() + skipped_invalid;
+            let invalid_count = invalid.len();
             for (fd, pair) in invalid {
                 if !self.fds.contains(fd.lhs, fd.rhs) {
                     continue; // an earlier witness this wave evicted it

@@ -40,7 +40,6 @@ mod induction;
 mod inserts;
 mod metrics;
 mod monitor;
-mod ordering;
 mod pipeline;
 mod violation_search;
 mod violations;

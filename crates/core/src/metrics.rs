@@ -101,18 +101,13 @@ pub struct BatchMetrics {
     /// the first frame dropped by corruption truncation. 0 = never.
     /// Under `absorb` this is the maximum across batches.
     pub last_truncated_seq: u64,
-    /// Insert-phase validation jobs probed by the sampling-guided
-    /// ordering pass (`DynFdConfig::sample_ordering`). Always 0 with
-    /// the ordering off.
+    /// Always 0. Counted insert-phase jobs probed by the removed
+    /// sampling-guided validation ordering; kept only so existing
+    /// readers of the field still compile.
     pub sampling_probes: usize,
-    /// Probed jobs the sample proved invalid (flagged likely-invalid
-    /// and scheduled in the first validation wave).
-    pub sampling_flagged: usize,
-    /// Insert-phase validation jobs never executed because every one of
-    /// their candidates was specialized away by witnesses from
-    /// earlier-scheduled jobs before their turn came. These jobs still
-    /// count in `fd_validations` (the candidate stream is unchanged);
-    /// this counter records the work the ordering saved.
+    /// Always 0. Counted insert-phase jobs the removed sampling-guided
+    /// validation ordering skipped; kept only so existing readers of
+    /// the field still compile.
     pub sampling_skipped: usize,
     /// SIMD lanes of the PLI-intersection kernel active for this batch
     /// (8 = AVX2, 4 = SSE2, 1 = scalar/disabled). Under `absorb` this
@@ -162,9 +157,6 @@ impl BatchMetrics {
         self.degraded_batches += other.degraded_batches;
         self.recovery_replayed_batches += other.recovery_replayed_batches;
         self.last_truncated_seq = self.last_truncated_seq.max(other.last_truncated_seq);
-        self.sampling_probes += other.sampling_probes;
-        self.sampling_flagged += other.sampling_flagged;
-        self.sampling_skipped += other.sampling_skipped;
         self.kernel_lanes = self.kernel_lanes.max(other.kernel_lanes);
     }
 }
@@ -236,25 +228,16 @@ mod tests {
     }
 
     #[test]
-    fn absorb_sampling_and_kernel_counters() {
+    fn absorb_takes_max_kernel_lanes() {
         let mut a = BatchMetrics {
-            sampling_probes: 10,
-            sampling_flagged: 4,
-            sampling_skipped: 2,
             kernel_lanes: 8,
             ..Default::default()
         };
         let b = BatchMetrics {
-            sampling_probes: 5,
-            sampling_flagged: 1,
-            sampling_skipped: 3,
             kernel_lanes: 4,
             ..Default::default()
         };
         a.absorb(&b);
-        assert_eq!(a.sampling_probes, 15);
-        assert_eq!(a.sampling_flagged, 5);
-        assert_eq!(a.sampling_skipped, 5);
         assert_eq!(a.kernel_lanes, 8, "lane width is a max, not a sum");
     }
 }

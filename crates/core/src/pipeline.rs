@@ -269,11 +269,6 @@ impl DynFd {
         // relation makes this atomic on rejection; the undo log makes it
         // reversible if steps 2–3 fail later.
         let (applied, undo) = self.rel.apply_batch_logged(batch)?;
-        // Select the intersection kernel for this batch. The toggle is
-        // process-global but observationally pure — every kernel
-        // produces identical output — so engines with different `simd`
-        // settings sharing the process only affect each other's speed.
-        dynfd_relation::kernel::set_simd_enabled(self.config.simd);
         let mut metrics = BatchMetrics {
             inserts: applied.inserted.len(),
             deletes: applied.deleted.len(),
@@ -373,28 +368,25 @@ impl DynFd {
         })
     }
 
-    /// Fans one lattice level's validation jobs out over the configured
-    /// worker budget: through the PLI-intersection cache when enabled
-    /// (`DynFdConfig::pli_cache`), plain otherwise, with the small-level
-    /// sequential fallback (`DynFdConfig::parallel_min_jobs`) applied
-    /// either way.
+    /// Runs one lattice level's validation jobs — the single executor
+    /// both phases use. The worker count is resolved once from the
+    /// configured budget and the small-level sequential fallback
+    /// (`DynFdConfig::parallel_min_jobs`); the jobs then run through the
+    /// PLI-intersection cache when enabled (`DynFdConfig::pli_cache`),
+    /// plain otherwise. Results come back in job order.
     pub(crate) fn run_level_validations(
         &mut self,
         jobs: &[ValidationJob],
         opts: &ValidationOptions,
     ) -> Vec<ValidationResult> {
-        let threads = self.config.effective_parallelism();
+        let workers = adaptive_workers(
+            self.config.effective_parallelism(),
+            jobs.len(),
+            self.config.parallel_min_jobs,
+        );
         if self.cache_enabled() {
-            validate_many_cached(
-                &self.rel,
-                jobs,
-                opts,
-                threads,
-                self.config.parallel_min_jobs,
-                &mut self.pli_cache,
-            )
+            validate_many_cached(&self.rel, jobs, opts, workers, &mut self.pli_cache)
         } else {
-            let workers = adaptive_workers(threads, jobs.len(), self.config.parallel_min_jobs);
             validate_many(&self.rel, jobs, opts, workers)
         }
     }

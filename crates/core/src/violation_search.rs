@@ -91,7 +91,7 @@ impl DynFd {
             }
         }
         let rel = &self.rel;
-        let clusters: Vec<SortedCluster> = par_map(&cluster_jobs, threads, |&(attr, value)| {
+        let clusters = par_map(&cluster_jobs, threads, |_: &mut (), &(attr, value)| {
             // Invariant expects inside the worker closure: the job list
             // above proved each (attr, value) cluster exists and every
             // member id is live, and the relation is frozen while the
@@ -129,7 +129,7 @@ impl DynFd {
             // the `learned` yield driving the cut-off are bit-identical.
             let mut any_window_applied = false;
             let rel = &self.rel;
-            let scans: Vec<ClusterScan> = par_map(&clusters, threads, |c| {
+            let scans: Vec<ClusterScan> = par_map(&clusters, threads, |_: &mut (), c| {
                 let mut comparisons = 0usize;
                 let mut witnesses: Vec<(AttrSet, RecordId, RecordId)> = Vec::new();
                 if c.members.len() <= dist {

@@ -6,9 +6,7 @@
 //! The primitive intersects two strictly-increasing `u32` *key* sequences
 //! and emits, for every common key, the `a`-side *payload* at that key's
 //! position. [`crate::intersect_clusters`] drives it with record ids as
-//! keys and arena slots as payloads; the validator's sampling prober and
-//! the PLI-cache refinement helpers reuse the same entry points, so every
-//! hot intersection in the system runs through one kernel.
+//! keys and arena slots as payloads.
 //!
 //! The block-compare algorithm is the classic rotation scheme for sorted
 //! u32 sets: load one L-lane block from each side, compare the `a` block
@@ -20,11 +18,12 @@
 //! finishes the sub-L tails.
 //!
 //! Selection is observationally pure: every kernel produces bit-identical
-//! output, so the `simd` config knob and the runtime-detected tier change
-//! throughput only. The equivalence proptests (in-crate and
-//! `tests/proptest_kernel.rs`) pin that contract.
+//! output, so the runtime-detected tier and the per-thread scalar
+//! override ([`set_simd_enabled`]) change throughput only. The
+//! equivalence proptests (in-crate and `tests/proptest_kernel.rs`) pin
+//! that contract.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Size ratio above which [`crate::intersect_clusters`] abandons the
@@ -51,7 +50,7 @@ pub const SIMD_MIN_LEN: usize = 16;
 /// stronger tiers require strictly more CPU features.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum KernelKind {
-    /// Portable scalar merge (also the non-x86_64 and `simd = false` path).
+    /// Portable scalar merge (also the non-x86_64 and SIMD-disabled path).
     #[default]
     Scalar,
     /// 4-lane SSE2 block compare (x86_64 baseline, no detection needed).
@@ -81,21 +80,23 @@ impl KernelKind {
     }
 }
 
-/// Process-wide SIMD enable switch, driven by `DynFdConfig::simd`.
-///
-/// All kernels produce bit-identical output, so flipping this concurrently
-/// with running validations is harmless — it only changes which code path
-/// computes the same result.
-static SIMD_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the SIMD paths process-wide (`simd` config knob).
-pub fn set_simd_enabled(enabled: bool) {
-    SIMD_ENABLED.store(enabled, Ordering::Relaxed);
+thread_local! {
+    /// Per-thread SIMD enable switch. A test or bench arm that forces
+    /// the scalar merge affects only its own thread, so tests running
+    /// concurrently in the same process keep the detected kernel.
+    static SIMD_ENABLED: Cell<bool> = const { Cell::new(true) };
 }
 
-/// Whether the SIMD paths are currently enabled.
+/// Enables or disables the SIMD paths on the calling thread — the
+/// scalar-vs-vectorized override of the kernel equivalence tests and
+/// the `kernel_sweep` bench. Threads start enabled.
+pub fn set_simd_enabled(enabled: bool) {
+    SIMD_ENABLED.with(|e| e.set(enabled));
+}
+
+/// Whether the SIMD paths are enabled on the calling thread.
 pub fn simd_enabled() -> bool {
-    SIMD_ENABLED.load(Ordering::Relaxed)
+    SIMD_ENABLED.with(Cell::get)
 }
 
 /// The strongest kernel this CPU supports, detected once at first use.
@@ -118,8 +119,8 @@ pub fn detected_kernel() -> KernelKind {
     })
 }
 
-/// The kernel calls actually dispatch to: the detected tier, or
-/// [`KernelKind::Scalar`] when SIMD is disabled by config.
+/// The kernel calls on this thread dispatch to: the detected tier, or
+/// [`KernelKind::Scalar`] when [`set_simd_enabled`] turned SIMD off.
 pub fn active_kernel() -> KernelKind {
     if simd_enabled() {
         detected_kernel()
@@ -415,5 +416,16 @@ mod tests {
         assert_eq!(active_kernel(), d);
         assert_eq!(KernelKind::Scalar.lanes(), 1);
         assert!(d.lanes() >= 1);
+    }
+
+    #[test]
+    fn simd_override_is_thread_local() {
+        std::thread::spawn(|| {
+            set_simd_enabled(false);
+            assert_eq!(active_kernel(), KernelKind::Scalar);
+        })
+        .join()
+        .expect("override thread");
+        assert_eq!(active_kernel(), detected_kernel());
     }
 }

@@ -49,15 +49,14 @@ pub use changelog::{parse_changelog, write_changelog, Batcher, WindowBatcher};
 pub use csv::{parse_csv, read_csv_file, CsvTable};
 pub use dictionary::{Dictionary, ValueId, DICTIONARY_CAPACITY};
 pub use parallel::{
-    adaptive_workers, par_map, resolve_parallelism, validate_jobs_on_snapshot, validate_many,
-    validate_many_cached, ValidationJob,
+    adaptive_workers, par_map, resolve_parallelism, validate_many, validate_many_cached,
+    ValidationJob,
 };
 pub use pli::{intersect_clusters, Pli};
 pub use pli_cache::{CacheEffects, CacheStats, CachedPartition, PliCache, PliCacheSnapshot};
 pub use relation::{DynamicRelation, NullPolicy, RowRef, UndoLog, DEAD_RID, NO_SLOT};
 pub use rowstore::{validate_rowstore, RowStoreRelation};
 pub use validate::{
-    agree_set, probe_cache_effects, probe_violation_score, validate, validate_cached, validate_fd,
-    validate_with, RhsOutcome, ValidationOptions, ValidationResult, ValidationStats,
-    ValidatorScratch,
+    agree_set, validate, validate_cached, validate_fd, validate_with, RhsOutcome,
+    ValidationOptions, ValidationResult, ValidationStats, ValidatorScratch,
 };

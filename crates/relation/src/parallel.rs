@@ -3,16 +3,17 @@
 //! Both DynFD lattice phases validate the candidates of a level strictly
 //! against a *frozen* relation: within one level no validation depends
 //! on another's verdict, so the jobs are embarrassingly parallel. This
-//! module shards a job list across `std::thread::scope` workers (std
-//! only — no thread-pool dependency) with a shared atomic cursor for
-//! load balancing, and reassembles results **by job index**, so the
-//! output is bit-identical to running the jobs sequentially no matter
-//! how the scheduler interleaves the workers.
+//! module shards a job list across scoped std worker threads (no
+//! thread-pool dependency) with a shared atomic cursor for load
+//! balancing, and reassembles results **by job index**, so the output
+//! is bit-identical to running the jobs sequentially no matter how the
+//! scheduler interleaves the workers.
 //!
-//! Each worker owns one [`ValidatorScratch`], so per-job working memory
-//! is still allocation-free in the steady state.
+//! Each worker owns its own state — for validation, one
+//! [`ValidatorScratch`] — so per-job working memory is still
+//! allocation-free in the steady state.
 
-use crate::pli_cache::{CacheEffects, PliCache, PliCacheSnapshot};
+use crate::pli_cache::PliCache;
 use crate::relation::DynamicRelation;
 use crate::validate::{
     validate_cached, validate_with, ValidationOptions, ValidationResult, ValidatorScratch,
@@ -52,21 +53,26 @@ pub fn adaptive_workers(requested: usize, job_count: usize, min_jobs: usize) -> 
 /// Maps `f` over `items` with up to `threads` worker threads, returning
 /// the results **in item order** regardless of scheduling.
 ///
-/// The generic workhorse behind [`validate_many`] and the parallel
-/// pieces of the violation search: a shared atomic cursor hands out
-/// items for load balancing, each worker records `(index, result)`
+/// The one scoped worker loop behind [`validate_many`],
+/// [`validate_many_cached`], and the parallel pieces of the violation
+/// search: each worker owns one `S::default()` state (a
+/// [`ValidatorScratch`] for validation, `()` where none is needed) and
+/// passes it to every `f` call it makes, a shared atomic cursor hands
+/// out items for load balancing, each worker records `(index, result)`
 /// pairs, and the coordinator reassembles them by index. With
 /// `threads <= 1` or fewer than two items, `f` runs inline on the
-/// calling thread.
-pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+/// calling thread with a single state.
+pub fn par_map<T, S, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
+    S: Default,
     R: Send,
-    F: Fn(&T) -> R + Sync,
+    F: Fn(&mut S, &T) -> R + Sync,
 {
     let workers = threads.min(items.len());
     if workers <= 1 {
-        return items.iter().map(f).collect();
+        let mut state = S::default();
+        return items.iter().map(|item| f(&mut state, item)).collect();
     }
 
     let cursor = AtomicUsize::new(0);
@@ -76,16 +82,16 @@ where
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let cursor = &cursor;
-                let f = &f;
+                let (cursor, f) = (&cursor, &f);
                 scope.spawn(move || {
+                    let mut state = S::default();
                     let mut produced: Vec<(usize, R)> = Vec::new();
                     loop {
                         let idx = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(item) = items.get(idx) else {
                             break;
                         };
-                        produced.push((idx, f(item)));
+                        produced.push((idx, f(&mut state, item)));
                     }
                     produced
                 })
@@ -104,172 +110,60 @@ where
         }
     });
 
-    // Invariant: the chunked index ranges partition 0..len, so every
-    // slot was written exactly once before the scope joined.
+    // Invariant: the cursor hands out every index in 0..len exactly
+    // once, so every slot was written before the scope joined.
     slots
         .into_iter()
         .map(|slot| slot.expect("every item produced a result"))
         .collect()
 }
 
-/// Validates every job in `jobs` against `rel` using up to `threads`
-/// worker threads and returns the results in job order.
+/// Validates every job in `jobs` against `rel` using up to `workers`
+/// threads and returns the results in job order.
 ///
-/// With `threads <= 1` (or fewer than two jobs) no thread is spawned and
+/// With `workers <= 1` (or fewer than two jobs) no thread is spawned and
 /// the jobs run inline — this is the exact sequential code path. The
-/// result vector is independent of the actual thread count.
+/// result vector is independent of the actual worker count.
 pub fn validate_many(
     rel: &DynamicRelation,
     jobs: &[ValidationJob],
     opts: &ValidationOptions,
-    threads: usize,
+    workers: usize,
 ) -> Vec<ValidationResult> {
-    let workers = threads.min(jobs.len());
-    if workers <= 1 {
-        let mut scratch = ValidatorScratch::new();
-        return jobs
-            .iter()
-            .map(|&(lhs, rhs)| validate_with(rel, lhs, rhs, opts, &mut scratch))
-            .collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<ValidationResult>> = Vec::with_capacity(jobs.len());
-    slots.resize_with(jobs.len(), || None);
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut scratch = ValidatorScratch::new();
-                    let mut produced: Vec<(usize, ValidationResult)> = Vec::new();
-                    loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(lhs, rhs)) = jobs.get(idx) else {
-                            break;
-                        };
-                        produced.push((idx, validate_with(rel, lhs, rhs, opts, &mut scratch)));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        for handle in handles {
-            // See `par_map`: re-raise worker panics with their payload.
-            let produced = handle
-                .join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            for (idx, result) in produced {
-                slots[idx] = Some(result);
-            }
-        }
-    });
-
-    slots
-        .into_iter()
-        // Invariant: as in `par_map`, the ranges partition the job list.
-        .map(|slot| slot.expect("every job produced a result"))
-        .collect()
+    par_map(
+        jobs,
+        workers,
+        |scratch: &mut ValidatorScratch, &(lhs, rhs)| validate_with(rel, lhs, rhs, opts, scratch),
+    )
 }
 
 /// [`validate_many`] through the PLI-intersection cache.
 ///
 /// Workers validate against an immutable snapshot of `cache` taken at
-/// the level start, recording per-job [`CacheEffects`]; the effects are
-/// merged back **in job order** at the level barrier, so cache contents,
-/// LRU order, and hit/miss counters are a pure function of the job list
-/// — identical for every worker count, like the validation results
-/// themselves. `min_jobs` applies the [`adaptive_workers`] sequential
-/// fallback on top of `threads`.
+/// the level start, recording per-job
+/// [`CacheEffects`](crate::CacheEffects); the effects are merged back
+/// **in job order** at the level barrier, so cache contents, LRU order,
+/// and hit/miss counters are a pure function of the job list — identical
+/// for every worker count, like the validation results themselves.
 pub fn validate_many_cached(
     rel: &DynamicRelation,
     jobs: &[ValidationJob],
     opts: &ValidationOptions,
-    threads: usize,
-    min_jobs: usize,
+    workers: usize,
     cache: &mut PliCache,
 ) -> Vec<ValidationResult> {
     let snapshot = cache.snapshot();
-    let (results, effects) =
-        validate_jobs_on_snapshot(rel, jobs, opts, threads, min_jobs, &snapshot);
+    let (results, effects): (Vec<_>, Vec<_>) = par_map(
+        jobs,
+        workers,
+        |scratch: &mut ValidatorScratch, &(lhs, rhs)| {
+            validate_cached(rel, lhs, rhs, opts, scratch, &snapshot)
+        },
+    )
+    .into_iter()
+    .unzip();
     cache.merge(&effects);
     results
-}
-
-/// The compute half of [`validate_many_cached`]: validates `jobs`
-/// against a caller-held snapshot, returning results and *unmerged*
-/// per-job effects, both in job order.
-///
-/// The sampling-guided scheduler needs this split: it validates a level
-/// in several waves against **one** snapshot and merges all effects in
-/// original job order at the level barrier, which is exactly what makes
-/// the reordered run's cache state bit-identical to the unordered one.
-pub fn validate_jobs_on_snapshot(
-    rel: &DynamicRelation,
-    jobs: &[ValidationJob],
-    opts: &ValidationOptions,
-    threads: usize,
-    min_jobs: usize,
-    snapshot: &PliCacheSnapshot,
-) -> (Vec<ValidationResult>, Vec<CacheEffects>) {
-    let workers = adaptive_workers(threads, jobs.len(), min_jobs).min(jobs.len());
-
-    if workers <= 1 {
-        let mut scratch = ValidatorScratch::new();
-        let mut results = Vec::with_capacity(jobs.len());
-        let mut effects = Vec::with_capacity(jobs.len());
-        for &(lhs, rhs) in jobs {
-            let (r, e) = validate_cached(rel, lhs, rhs, opts, &mut scratch, snapshot);
-            results.push(r);
-            effects.push(e);
-        }
-        (results, effects)
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<(ValidationResult, CacheEffects)>> =
-            Vec::with_capacity(jobs.len());
-        slots.resize_with(jobs.len(), || None);
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let mut scratch = ValidatorScratch::new();
-                        let mut produced: Vec<(usize, (ValidationResult, CacheEffects))> =
-                            Vec::new();
-                        loop {
-                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(lhs, rhs)) = jobs.get(idx) else {
-                                break;
-                            };
-                            produced.push((
-                                idx,
-                                validate_cached(rel, lhs, rhs, opts, &mut scratch, snapshot),
-                            ));
-                        }
-                        produced
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // See `par_map`: re-raise worker panics with their payload.
-                let produced = handle
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                for (idx, result) in produced {
-                    slots[idx] = Some(result);
-                }
-            }
-        });
-
-        slots
-            .into_iter()
-            // Invariant: as in `par_map`, the ranges partition the job list.
-            .map(|slot| slot.expect("every job produced a result"))
-            .unzip()
-    }
 }
 
 #[cfg(test)]
@@ -360,9 +254,9 @@ mod tests {
         let items: Vec<usize> = (0..257).collect();
         let expect: Vec<usize> = items.iter().map(|&x| x * x).collect();
         for threads in [1, 2, 5, 16] {
-            assert_eq!(par_map(&items, threads, |&x| x * x), expect);
+            assert_eq!(par_map(&items, threads, |_: &mut (), &x| x * x), expect);
         }
-        assert!(par_map::<usize, usize, _>(&[], 4, |&x| x).is_empty());
+        assert!(par_map(&[] as &[usize], 4, |_: &mut (), &x| x).is_empty());
     }
 
     #[test]
@@ -396,8 +290,8 @@ mod tests {
         let run = |threads: usize| {
             let mut cache = PliCache::new(usize::MAX);
             // Two passes: the first populates, the second hits.
-            let _ = validate_many_cached(&rel, &jobs, &opts, threads, 0, &mut cache);
-            let results = validate_many_cached(&rel, &jobs, &opts, threads, 0, &mut cache);
+            let _ = validate_many_cached(&rel, &jobs, &opts, threads, &mut cache);
+            let results = validate_many_cached(&rel, &jobs, &opts, threads, &mut cache);
             (results, cache)
         };
 
@@ -433,7 +327,7 @@ mod tests {
         let plain = validate_many(&rel, &jobs, &opts, 1);
         let mut cache = PliCache::new(usize::MAX);
         for _ in 0..2 {
-            let cached = validate_many_cached(&rel, &jobs, &opts, 2, 0, &mut cache);
+            let cached = validate_many_cached(&rel, &jobs, &opts, 2, &mut cache);
             for (s, p) in plain.iter().zip(&cached) {
                 assert_eq!(s.lhs, p.lhs);
                 for (attr, out) in &s.outcomes {

@@ -135,38 +135,6 @@ impl CachedPartition {
         self.clusters.len()
     }
 
-    /// The rid-sorted member list of cluster `idx`, in the same
-    /// deterministic creation order [`CachedPartition::clusters`] uses.
-    pub fn cluster_rids(&self, idx: usize) -> &[RecordId] {
-        &self.clusters[idx].1
-    }
-
-    /// Sampling-prober refinement step: intersects the newest `tail_cap`
-    /// members of cluster `idx` with a raw PLI cluster through the shared
-    /// vectorized kernel ([`crate::kernel`] via
-    /// [`crate::intersect_clusters`]), appending the surviving arena
-    /// slots in rid order. `slot_scratch` is caller-provided working
-    /// memory for the rid → slot translation, so repeated probes stay
-    /// allocation-free.
-    pub fn refine_tail_with_pli(
-        &self,
-        idx: usize,
-        tail_cap: usize,
-        rel: &DynamicRelation,
-        pli_cluster: &[u32],
-        slot_scratch: &mut Vec<u32>,
-        out: &mut Vec<u32>,
-    ) {
-        let rids = self.cluster_rids(idx);
-        let tail = &rids[rids.len().saturating_sub(tail_cap)..];
-        slot_scratch.clear();
-        slot_scratch.extend(tail.iter().map(|&rid| {
-            rel.slot_of(rid)
-                .expect("cached partition references live record")
-        }));
-        crate::pli::intersect_clusters(slot_scratch, pli_cluster, rel.slot_rids(), out);
-    }
-
     /// Number of records that are alone in their cluster.
     pub fn singleton_count(&self) -> usize {
         self.singletons.len()
@@ -320,17 +288,12 @@ impl CacheEffects {
 /// An immutable view of the cache taken at a level barrier. Cloning the
 /// snapshot (or handing `&PliCacheSnapshot` to scoped workers) shares
 /// the partitions by `Arc` — no copies, no locks.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct PliCacheSnapshot {
     entries: HashMap<AttrSet, Arc<CachedPartition>>,
 }
 
 impl PliCacheSnapshot {
-    /// An empty snapshot (what a disabled cache hands out).
-    pub fn empty() -> Self {
-        PliCacheSnapshot::default()
-    }
-
     /// The cached partition for `key`, if resident.
     pub fn get(&self, key: &AttrSet) -> Option<&Arc<CachedPartition>> {
         self.entries.get(key)

@@ -396,63 +396,9 @@ pub fn validate_cached(
     assert!(!rhs_set.is_empty(), "validate called with no RHS");
     assert!(lhs.is_disjoint(&rhs_set), "trivial candidate: rhs ∈ lhs");
 
-    match probe_snapshot(rel, lhs, cache) {
-        SnapshotProbe::NoPair => unreachable!("lhs.len() >= 2 checked above"),
-        SnapshotProbe::Hit(key, part) => {
-            effects.hit = Some(key);
-            let result = validate_on_partition(rel, lhs, rhs_set, key, part, opts, scratch);
-            (result, effects)
-        }
-        // A cached subset exists but some single-attribute PLI is more
-        // refined: the plain pivot heuristic wins; neither hit nor miss.
-        SnapshotProbe::Resident => (validate_with(rel, lhs, rhs_set, opts, scratch), effects),
-        SnapshotProbe::Absent => {
-            effects.miss = true;
-            if opts.min_new_id.is_some() {
-                return (validate_with(rel, lhs, rhs_set, opts, scratch), effects);
-            }
-            // Build the intersection of the LHS's two most refined
-            // attributes, validate on it directly (the build *is* the
-            // grouping work), and offer it to the cache.
-            let mut pair = lhs.to_vec();
-            pair.sort_unstable_by_key(|&a| (rel.pli(a).max_cluster_len(), a));
-            let (a, b) = (pair[0].min(pair[1]), pair[0].max(pair[1]));
-            let part = Arc::new(CachedPartition::build(rel, a, b));
-            let key = part.key();
-            let result = validate_on_partition(rel, lhs, rhs_set, key, &part, opts, scratch);
-            effects.built = Some((key, part));
-            (result, effects)
-        }
-    }
-}
-
-/// What probing the snapshot for a usable 2-subset partition found.
-/// Shared by [`validate_cached`] and [`probe_cache_effects`] so the two
-/// can never disagree about a job's cache interaction.
-enum SnapshotProbe<'a> {
-    /// `lhs.len() < 2`: the cache stores only 2-attribute intersections.
-    NoPair,
-    /// The most refined resident 2-subset beats every single-attribute
-    /// PLI of the LHS — the validator pivots on it (a cache *hit*).
-    Hit(AttrSet, &'a Arc<CachedPartition>),
-    /// Some 2-subset is resident but a single-attribute PLI is more
-    /// refined: the plain pivot wins; neither hit nor miss.
-    Resident,
-    /// No 2-subset of the LHS is resident (a *miss*).
-    Absent,
-}
-
-/// Probes every 2-subset of `lhs`, keeping the most refined cached
-/// partition (smallest maximal cluster, key order breaking ties), then
-/// compares it against the best single-attribute PLI.
-fn probe_snapshot<'a>(
-    rel: &DynamicRelation,
-    lhs: AttrSet,
-    cache: &'a PliCacheSnapshot,
-) -> SnapshotProbe<'a> {
-    if lhs.len() < 2 {
-        return SnapshotProbe::NoPair;
-    }
+    // Probe every 2-subset of the LHS, keeping the most refined cached
+    // partition (smallest maximal cluster, key order breaking ties),
+    // then compare it against the best single-attribute PLI.
     let attrs = lhs.to_vec();
     let mut best: Option<(AttrSet, &Arc<CachedPartition>)> = None;
     for (i, &a) in attrs.iter().enumerate() {
@@ -474,41 +420,35 @@ fn probe_snapshot<'a>(
         .map(|&a| rel.pli(a).max_cluster_len())
         .min()
         .expect("non-empty lhs");
-    match best {
-        Some((key, part)) if part.max_cluster_len() <= best_single => SnapshotProbe::Hit(key, part),
-        Some(_) => SnapshotProbe::Resident,
-        None => SnapshotProbe::Absent,
-    }
-}
 
-/// Reconstructs the exact [`CacheEffects`] that [`validate_cached`] would
-/// record for this job *without validating* — the sampling-guided
-/// scheduler uses this for jobs it proves redundant, so the merged cache
-/// state stays bit-identical to the unordered run.
-///
-/// Returns `None` when the real call would *build* a partition (an
-/// unpruned miss): such a job must actually run, because skipping it
-/// would change what gets offered to the cache.
-pub fn probe_cache_effects(
-    rel: &DynamicRelation,
-    lhs: AttrSet,
-    opts: &ValidationOptions,
-    cache: &PliCacheSnapshot,
-) -> Option<CacheEffects> {
-    let mut effects = CacheEffects::default();
-    match probe_snapshot(rel, lhs, cache) {
-        SnapshotProbe::NoPair | SnapshotProbe::Resident => Some(effects),
-        SnapshotProbe::Hit(key, _) => {
+    match best {
+        // The most refined resident 2-subset beats every single-attribute
+        // PLI of the LHS: pivot on it (a cache hit).
+        Some((key, part)) if part.max_cluster_len() <= best_single => {
             effects.hit = Some(key);
-            Some(effects)
+            let result = validate_on_partition(rel, lhs, rhs_set, key, part, opts, scratch);
+            (result, effects)
         }
-        SnapshotProbe::Absent => {
+        // A cached subset exists but some single-attribute PLI is more
+        // refined: the plain pivot heuristic wins; neither hit nor miss.
+        Some(_) => (validate_with(rel, lhs, rhs_set, opts, scratch), effects),
+        // No 2-subset of the LHS is resident (a miss).
+        None => {
             effects.miss = true;
             if opts.min_new_id.is_some() {
-                Some(effects)
-            } else {
-                None
+                return (validate_with(rel, lhs, rhs_set, opts, scratch), effects);
             }
+            // Build the intersection of the LHS's two most refined
+            // attributes, validate on it directly (the build *is* the
+            // grouping work), and offer it to the cache.
+            let mut pair = attrs;
+            pair.sort_unstable_by_key(|&a| (rel.pli(a).max_cluster_len(), a));
+            let (a, b) = (pair[0].min(pair[1]), pair[0].max(pair[1]));
+            let part = Arc::new(CachedPartition::build(rel, a, b));
+            let key = part.key();
+            let result = validate_on_partition(rel, lhs, rhs_set, key, &part, opts, scratch);
+            effects.built = Some((key, part));
+            (result, effects)
         }
     }
 }
@@ -755,241 +695,6 @@ fn validate_empty_lhs(rel: &DynamicRelation, rhs_set: AttrSet) -> ValidationResu
 /// Convenience wrapper validating a single [`Fd`].
 pub fn validate_fd(rel: &DynamicRelation, fd: &Fd, opts: &ValidationOptions) -> RhsOutcome {
     validate(rel, fd.lhs, AttrSet::single(fd.rhs), opts).outcome(fd.rhs)
-}
-
-/// How many of a sampled cluster's newest members the violation prober
-/// inspects. New records sit at a rid-sorted cluster's tail, so the tail
-/// is where an insert-phase violation lives if one exists.
-const PROBE_TAIL: usize = 32;
-
-/// How many clusters (per budgeted sample) the prober may walk past
-/// looking for a dirty one before giving up.
-const PROBE_SCAN_FACTOR: usize = 8;
-
-/// Deterministic, thread-invariant violation probe for one validation
-/// job (the EAIFD-style sampling score).
-///
-/// Samples up to `budget` *dirty* clusters (clusters holding at least
-/// one record with rid ≥ `first_new`) of the job's most refined
-/// partition — the best cached 2-subset when the snapshot has one,
-/// mirroring [`validate_cached`]'s pivot choice, else the most refined
-/// single-attribute PLI. On the raw-PLI path the dirty clusters are
-/// found through `new_slots` (the batch's surviving inserted arena
-/// slots): each sampled slot's pivot-attribute cluster holds a new
-/// record *by construction*, so the probe never wastes its scan budget
-/// walking clean clusters no matter how large the dictionary grows.
-/// `seed` only rotates which slots get sampled; for each cluster, the
-/// newest record is taken as reference, the cluster tail is refined to
-/// the reference's full-LHS group (one [`crate::kernel`]-vectorized
-/// cluster intersection plus scalar residual filters), and each RHS
-/// attribute is checked for a disagreement inside that group.
-///
-/// The returned score counts `(cluster, rhs)` disagreements found.
-/// Every disagreement is witnessed by a real record pair agreeing on the
-/// LHS, so a positive score proves the job invalid; a zero score proves
-/// nothing. The probe reads only the frozen relation and the snapshot —
-/// no cache effects, no RNG, no dependence on thread count — so scores
-/// are a pure function of `(rel, job, first_new, new_slots, budget,
-/// seed)` and the sampling-guided schedule derived from them is
-/// deterministic.
-#[allow(clippy::too_many_arguments)]
-pub fn probe_violation_score(
-    rel: &DynamicRelation,
-    lhs: AttrSet,
-    rhs_set: AttrSet,
-    first_new: RecordId,
-    new_slots: &[u32],
-    budget: usize,
-    seed: u64,
-    cache: &PliCacheSnapshot,
-) -> u32 {
-    if lhs.is_empty() || rhs_set.is_empty() || budget == 0 {
-        return 0;
-    }
-    if let SnapshotProbe::Hit(key, part) = probe_snapshot(rel, lhs, cache) {
-        return probe_on_partition(rel, lhs, rhs_set, first_new, budget, seed, key, part);
-    }
-    probe_on_pli(rel, lhs, rhs_set, new_slots, budget, seed)
-}
-
-/// Raw-PLI probe path: pivot on the most refined single-attribute PLI
-/// and sample the newly inserted records' own clusters.
-///
-/// A circular scan over the pivot's cluster list (what
-/// [`probe_on_partition`] still does — cached partitions carry no
-/// slot→cluster index to exploit) goes blind at scale: fresh dictionary
-/// values append at one end of a large cluster list, so a seeded window
-/// of a few dozen clusters almost never lands on a dirty one. The new
-/// records' slots *are* the dirt, and `pivot column value → cluster` is
-/// an O(1) lookup, so the probe walks a seeded window of `new_slots`
-/// instead. Several slots may map to the same cluster; re-probing it is
-/// wasted but harmless work, bounded by the small budget.
-fn probe_on_pli(
-    rel: &DynamicRelation,
-    lhs: AttrSet,
-    rhs_set: AttrSet,
-    new_slots: &[u32],
-    budget: usize,
-    seed: u64,
-) -> u32 {
-    if new_slots.is_empty() {
-        return 0;
-    }
-    let pivot = lhs
-        .iter()
-        .min_by_key(|&a| (rel.pli(a).max_cluster_len(), a))
-        .expect("non-empty lhs");
-    let pli = rel.pli(pivot);
-    let pivot_col = rel.column(pivot);
-    let slot_rids = rel.slot_rids();
-    // The most refined non-pivot attribute refines the sampled tail via
-    // the shared kernel; any residual attributes filter scalar-wise.
-    let refine = lhs
-        .iter()
-        .filter(|&a| a != pivot)
-        .min_by_key(|&a| (rel.pli(a).max_cluster_len(), a));
-    let residual: Vec<AttrId> = lhs
-        .iter()
-        .filter(|&a| a != pivot && Some(a) != refine)
-        .collect();
-    let start = (seed as usize) % new_slots.len();
-    let scan_cap = budget * PROBE_SCAN_FACTOR + 64;
-    let (mut sampled, mut score) = (0usize, 0u32);
-    let mut subgroup: Vec<u32> = Vec::new();
-    for step in 0..new_slots.len().min(scan_cap) {
-        if sampled >= budget {
-            break;
-        }
-        let slot = new_slots[(start + step) % new_slots.len()];
-        let Some(cluster) = pli.cluster(pivot_col[slot as usize]) else {
-            continue;
-        };
-        if cluster.len() < 2 {
-            continue; // the new record is alone under this pivot value
-        }
-        let last = cluster[cluster.len() - 1];
-        sampled += 1;
-        subgroup.clear();
-        if let Some(b) = refine {
-            let value = rel.column(b)[last as usize];
-            let Some(b_cluster) = rel.pli(b).cluster(value) else {
-                continue;
-            };
-            let tail = &cluster[cluster.len().saturating_sub(PROBE_TAIL)..];
-            crate::pli::intersect_clusters(tail, b_cluster, slot_rids, &mut subgroup);
-        } else {
-            subgroup.extend_from_slice(&cluster[cluster.len().saturating_sub(PROBE_TAIL)..]);
-        }
-        for &c in &residual {
-            let col = rel.column(c);
-            let want = col[last as usize];
-            subgroup.retain(|&s| col[s as usize] == want);
-        }
-        if subgroup.len() < 2 {
-            continue;
-        }
-        score += count_rhs_disagreements(rel, &subgroup, last, rhs_set);
-    }
-    score
-}
-
-/// Cached-partition probe path: the snapshot's best 2-subset already
-/// groups the sampled records by two LHS attributes at once.
-#[allow(clippy::too_many_arguments)]
-fn probe_on_partition(
-    rel: &DynamicRelation,
-    lhs: AttrSet,
-    rhs_set: AttrSet,
-    first_new: RecordId,
-    budget: usize,
-    seed: u64,
-    key: AttrSet,
-    part: &CachedPartition,
-) -> u32 {
-    let total = part.cluster_count();
-    if total == 0 {
-        return 0;
-    }
-    let rest_set = lhs.difference(&key);
-    let refine = rest_set
-        .iter()
-        .min_by_key(|&a| (rel.pli(a).max_cluster_len(), a));
-    let residual: Vec<AttrId> = rest_set.iter().filter(|&a| Some(a) != refine).collect();
-    let start = (seed as usize) % total;
-    let scan_cap = budget * PROBE_SCAN_FACTOR + 64;
-    let (mut sampled, mut score) = (0usize, 0u32);
-    let mut slot_scratch: Vec<u32> = Vec::new();
-    let mut subgroup: Vec<u32> = Vec::new();
-    for step in 0..total.min(scan_cap) {
-        if sampled >= budget {
-            break;
-        }
-        let idx = (start + step) % total;
-        let rids = part.cluster_rids(idx);
-        if rids.len() < 2 {
-            continue;
-        }
-        let last_rid = rids[rids.len() - 1];
-        if last_rid < first_new {
-            continue;
-        }
-        sampled += 1;
-        let ref_slot = rel
-            .slot_of(last_rid)
-            .expect("cached partition references live record");
-        subgroup.clear();
-        if let Some(b) = refine {
-            let value = rel.column(b)[ref_slot as usize];
-            let Some(b_cluster) = rel.pli(b).cluster(value) else {
-                continue;
-            };
-            part.refine_tail_with_pli(
-                idx,
-                PROBE_TAIL,
-                rel,
-                b_cluster,
-                &mut slot_scratch,
-                &mut subgroup,
-            );
-        } else {
-            // The cached key covers the whole LHS: the cluster already is
-            // the full-LHS group; translate its tail to arena slots.
-            let tail = &rids[rids.len().saturating_sub(PROBE_TAIL)..];
-            subgroup.extend(tail.iter().map(|&rid| {
-                rel.slot_of(rid)
-                    .expect("cached partition references live record")
-            }));
-        }
-        for &c in &residual {
-            let col = rel.column(c);
-            let want = col[ref_slot as usize];
-            subgroup.retain(|&s| col[s as usize] == want);
-        }
-        if subgroup.len() < 2 {
-            continue;
-        }
-        score += count_rhs_disagreements(rel, &subgroup, ref_slot, rhs_set);
-    }
-    score
-}
-
-/// Counts RHS attributes on which some subgroup member disagrees with
-/// the reference slot — each one a genuine violation of `lhs -> rhs`.
-fn count_rhs_disagreements(
-    rel: &DynamicRelation,
-    subgroup: &[u32],
-    ref_slot: u32,
-    rhs_set: AttrSet,
-) -> u32 {
-    let mut found = 0;
-    for r in rhs_set.iter() {
-        let col = rel.column(r);
-        let want = col[ref_slot as usize];
-        if subgroup.iter().any(|&s| col[s as usize] != want) {
-            found += 1;
-        }
-    }
-    found
 }
 
 /// The *agree set* of two records: all attributes on which they hold the

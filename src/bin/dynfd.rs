@@ -395,12 +395,9 @@ fn cmd_maintain(args: &[String]) -> Result<(), CliError> {
             totals.cache_hits, totals.cache_misses, totals.cache_evictions, totals.cache_bytes,
         );
         eprintln!(
-            "# stats: kernel {} ({} lanes), sampling {} probes, {} flagged, {} jobs skipped",
+            "# stats: kernel {} ({} lanes)",
             dynfd_relation::kernel::active_kernel().name(),
             totals.kernel_lanes,
-            totals.sampling_probes,
-            totals.sampling_flagged,
-            totals.sampling_skipped,
         );
     }
     if let Some(p) = save_path {
@@ -601,12 +598,9 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             totals.cache_hits, totals.cache_misses, totals.cache_evictions, totals.cache_bytes,
         );
         eprintln!(
-            "# stats: kernel {} ({} lanes), sampling {} probes, {} flagged, {} jobs skipped",
+            "# stats: kernel {} ({} lanes)",
             dynfd_relation::kernel::active_kernel().name(),
             totals.kernel_lanes,
-            totals.sampling_probes,
-            totals.sampling_flagged,
-            totals.sampling_skipped,
         );
     }
     if let Some(p) = save_path {

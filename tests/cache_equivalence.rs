@@ -87,7 +87,7 @@ proptest! {
             let jobs = level_jobs(arity);
             let plain = validate_many(&rel, &jobs, &full, 1);
             for round in 0..2 {
-                let cached = validate_many_cached(&rel, &jobs, &full, 1, 1, &mut cache);
+                let cached = validate_many_cached(&rel, &jobs, &full, 1, &mut cache);
                 prop_assert_eq!(plain.len(), cached.len());
                 for (p, c) in plain.iter().zip(&cached) {
                     prop_assert_eq!(p.lhs, c.lhs);
@@ -180,7 +180,7 @@ fn tiny_budget_forces_evictions() {
     let jobs = level_jobs(2);
     let full = ValidationOptions::full();
     for _ in 0..2 {
-        let _ = validate_many_cached(&rel, &jobs, &full, 1, 1, &mut cache);
+        let _ = validate_many_cached(&rel, &jobs, &full, 1, &mut cache);
     }
     let stats = cache.stats();
     assert!(stats.misses > 0, "no builds at all: {stats:?}");

@@ -247,20 +247,33 @@ fn arb_script() -> impl Strategy<Value = Vec<ScriptOp>> {
     )
 }
 
+/// A random strategy set with the cache on or off. `parallel_min_jobs:
+/// 1` lets every level fan out: at the default threshold of 16 the
+/// small levels of a 4-column relation would all run inline, and the
+/// n-thread replay would never reach a worker thread.
 fn arb_config() -> impl Strategy<Value = DynFdConfig> {
-    (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
-        |(cluster, progressive, validation, dfs)| DynFdConfig {
-            cluster_pruning: cluster,
-            violation_search: if progressive {
-                SearchMode::Progressive
-            } else {
-                SearchMode::Naive
-            },
-            validation_pruning: validation,
-            depth_first_search: dfs,
-            ..DynFdConfig::default()
-        },
+    (
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
     )
+        .prop_map(
+            |(cluster, progressive, validation, dfs, cache)| DynFdConfig {
+                cluster_pruning: cluster,
+                violation_search: if progressive {
+                    SearchMode::Progressive
+                } else {
+                    SearchMode::Naive
+                },
+                validation_pruning: validation,
+                depth_first_search: dfs,
+                pli_cache: cache,
+                parallel_min_jobs: 1,
+                ..DynFdConfig::default()
+            },
+        )
 }
 
 fn to_batches(script: &[ScriptOp], initial: usize, batch_size: usize) -> Vec<Batch> {
@@ -310,13 +323,26 @@ proptest! {
         let seq = replay(&initial, &batches, DynFdConfig { parallelism: 1, ..config });
         let par = replay(&initial, &batches, DynFdConfig { parallelism: threads, ..config });
         prop_assert_eq!(seq.0.len(), par.0.len());
-        for (s, p) in seq.0.iter().zip(&par.0) {
+        for (i, (s, p)) in seq.0.iter().zip(&par.0).enumerate() {
             prop_assert_eq!(&s.added, &p.added);
             prop_assert_eq!(&s.removed, &p.removed);
+            // Cache state is a pure function of the job list: one
+            // snapshot per level, effects merged in job order.
+            let (sm, pm) = (&s.metrics, &p.metrics);
+            prop_assert_eq!(sm.cache_hits, pm.cache_hits, "cache hits diverged at batch {}", i);
+            prop_assert_eq!(sm.cache_misses, pm.cache_misses, "cache misses diverged at batch {}", i);
+            prop_assert_eq!(
+                sm.cache_evictions,
+                pm.cache_evictions,
+                "cache evictions diverged at batch {}",
+                i
+            );
+            prop_assert_eq!(sm.cache_bytes, pm.cache_bytes, "cache bytes diverged at batch {}", i);
         }
         prop_assert_eq!(&seq.1, &par.1, "annotations diverged ({} threads)", threads);
         prop_assert_eq!(seq.2.positive_cover(), par.2.positive_cover());
         prop_assert_eq!(seq.2.negative_cover(), par.2.negative_cover());
+        prop_assert!(seq.2.state_eq(&par.2), "engine state diverged ({} threads)", threads);
         if let Err(e) = par.2.verify_consistency() {
             return Err(TestCaseError::fail(format!("parallel run inconsistent: {e}")));
         }

@@ -2,8 +2,8 @@
 //! available kernel (scalar merge, SSE2, AVX2) computes the identical
 //! payload sequence for the identical key lists, across all lengths,
 //! alignments, densities, and tail shapes — and the cluster-level entry
-//! point `intersect_clusters` is invariant under the global SIMD
-//! toggle, including the u64-record-id overflow fallback.
+//! point `intersect_clusters` is invariant under the per-thread SIMD
+//! override, including the u64-record-id overflow fallback.
 
 use dynfd::common::RecordId;
 use dynfd::relation::intersect_clusters;
@@ -11,10 +11,6 @@ use dynfd::relation::kernel::{
     self, intersect_keyed, intersect_keyed_with, KernelKind, GALLOP_RATIO, SIMD_MIN_LEN,
 };
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Serializes tests that flip the process-global SIMD toggle.
-static TOGGLE: Mutex<()> = Mutex::new(());
 
 /// Every kernel the host CPU can run, weakest first.
 fn available_kinds() -> Vec<KernelKind> {
@@ -96,7 +92,6 @@ proptest! {
         a in arb_keys(3 * SIMD_MIN_LEN, 256),
         b in arb_keys(3 * SIMD_MIN_LEN * GALLOP_RATIO, 256),
     ) {
-        let _guard = TOGGLE.lock().unwrap();
         let slot_rids: Vec<RecordId> = (0..256).map(|s| RecordId(s as u64 * 3 + 1)).collect();
         let mut scalar = Vec::new();
         let mut simd = Vec::new();
@@ -116,7 +111,6 @@ proptest! {
         a in arb_keys(2 * SIMD_MIN_LEN, 128),
         b in arb_keys(2 * SIMD_MIN_LEN, 128),
     ) {
-        let _guard = TOGGLE.lock().unwrap();
         let base = u32::MAX as u64 - 40;
         let slot_rids: Vec<RecordId> = (0..128).map(|s| RecordId(base + s as u64)).collect();
         let mut scalar = Vec::new();
