@@ -18,6 +18,7 @@
 //! (relation substrate, lattice, static discovery, DynFD itself) shares
 //! these vocabulary types.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod attrset;

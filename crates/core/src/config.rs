@@ -93,15 +93,13 @@ pub struct DynFdConfig {
     /// [`BatchMetrics::cover_rebuilds`](crate::BatchMetrics), and the
     /// batch still reports success.
     pub consistency: ConsistencyLevel,
-    /// **Extension**: memoize two-attribute PLI intersections across
-    /// candidates and batches (the EAIFD-lineage partition reuse; see
-    /// `dynfd_relation::pli_cache`). Covers and deltas are identical
-    /// either way; only violation witness pairs and wall-clock time may
-    /// differ.
-    pub pli_cache: bool,
-    /// Byte budget of the PLI-intersection cache; least-recently-used
-    /// entries are evicted beyond it. Ignored when
-    /// [`DynFdConfig::pli_cache`] is off.
+    /// **Extension**: byte budget of the cache that memoizes
+    /// two-attribute PLI intersections across candidates and batches
+    /// (the EAIFD-lineage partition reuse; see
+    /// `dynfd_relation::pli_cache`). Least-recently-used entries are
+    /// evicted beyond it; `0` turns the cache off. Covers and deltas are
+    /// identical either way; only violation witness pairs and wall-clock
+    /// time may differ.
     pub pli_cache_bytes: usize,
     /// Lattice levels with fewer validation jobs than this run
     /// sequentially even when [`DynFdConfig::parallelism`] asks for
@@ -130,7 +128,6 @@ impl Default for DynFdConfig {
             update_pruning: false,
             parallelism: 0,
             consistency: ConsistencyLevel::Off,
-            pli_cache: true,
             pli_cache_bytes: 16 << 20,
             parallel_min_jobs: 16,
             snapshot_every: 64,
@@ -153,9 +150,9 @@ impl DynFdConfig {
     }
 
     /// Every combination of the four §6.5 ablation toggles crossed with
-    /// the PLI-cache axis (32 configs), in a fixed deterministic order
-    /// from [`DynFdConfig::baseline`]-without-cache to the cached
-    /// default. The cross-validation tests and the testkit's
+    /// the PLI-cache axis (`pli_cache_bytes` 0 or the default budget;
+    /// 32 configs), in a fixed deterministic order from
+    /// [`DynFdConfig::baseline`]-without-cache to the cached default. The cross-validation tests and the testkit's
     /// differential runner iterate this matrix so that each pruning
     /// strategy — and the cache — is exercised both alone and in
     /// combination. The cache must never change covers or deltas, so
@@ -163,7 +160,7 @@ impl DynFdConfig {
     /// result.
     pub fn ablation_matrix() -> Vec<DynFdConfig> {
         let mut configs = Vec::with_capacity(32);
-        for cache in [false, true] {
+        for cache_bytes in [0, DynFdConfig::default().pli_cache_bytes] {
             for cluster in [false, true] {
                 for search in [SearchMode::Naive, SearchMode::Progressive] {
                     for validation in [false, true] {
@@ -173,7 +170,7 @@ impl DynFdConfig {
                                 violation_search: search,
                                 validation_pruning: validation,
                                 depth_first_search: dfs,
-                                pli_cache: cache,
+                                pli_cache_bytes: cache_bytes,
                                 ..DynFdConfig::default()
                             });
                         }
@@ -213,7 +210,7 @@ impl DynFdConfig {
         };
         // The cache is on by default, so only its absence is marked —
         // the paper-figure labels ("4.3+5.3+4.2+5.2", "-") stay intact.
-        if !self.pli_cache {
+        if self.pli_cache_bytes == 0 {
             label.push_str(" (no-cache)");
         }
         label
@@ -264,14 +261,13 @@ mod tests {
         assert!(labels.contains("4.3+5.3+4.2+5.2 (no-cache)"));
         // The cache axis appears in both settings for every toggle
         // combination.
-        assert_eq!(matrix.iter().filter(|c| c.pli_cache).count(), 16);
+        assert_eq!(matrix.iter().filter(|c| c.pli_cache_bytes > 0).count(), 16);
     }
 
     #[test]
     fn cache_defaults() {
         let c = DynFdConfig::default();
-        assert!(c.pli_cache, "cache is on by default");
-        assert_eq!(c.pli_cache_bytes, 16 << 20);
+        assert_eq!(c.pli_cache_bytes, 16 << 20, "cache is on by default");
         assert_eq!(c.parallel_min_jobs, 16);
         assert_eq!(c.snapshot_every, 64, "periodic snapshots on by default");
         // The default label is unchanged by the cache being on.

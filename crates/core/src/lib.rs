@@ -28,6 +28,7 @@
 //! [`DynFdConfig`], which is how the ablation experiments of Section 6.5
 //! (Figures 8–11) are reproduced.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;

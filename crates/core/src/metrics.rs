@@ -60,7 +60,7 @@ pub struct BatchMetrics {
     /// incremental maintenance went wrong.
     pub cover_rebuilds: usize,
     /// Validations that pivoted on a memoized PLI intersection (see
-    /// `DynFdConfig::pli_cache`). Always 0 with the cache off.
+    /// `DynFdConfig::pli_cache_bytes`). Always 0 with the cache off.
     pub cache_hits: usize,
     /// Arity ≥ 2 validations that probed the cache and found no usable
     /// subset of their LHS.
@@ -109,10 +109,6 @@ pub struct BatchMetrics {
     /// validation ordering skipped; kept only so existing readers of
     /// the field still compile.
     pub sampling_skipped: usize,
-    /// SIMD lanes of the PLI-intersection kernel active for this batch
-    /// (8 = AVX2, 4 = SSE2, 1 = scalar/disabled). Under `absorb` this
-    /// is the maximum across batches, like `threads_used`.
-    pub kernel_lanes: usize,
 }
 
 impl BatchMetrics {
@@ -157,7 +153,6 @@ impl BatchMetrics {
         self.degraded_batches += other.degraded_batches;
         self.recovery_replayed_batches += other.recovery_replayed_batches;
         self.last_truncated_seq = self.last_truncated_seq.max(other.last_truncated_seq);
-        self.kernel_lanes = self.kernel_lanes.max(other.kernel_lanes);
     }
 }
 
@@ -225,19 +220,5 @@ mod tests {
         assert_eq!(a.snapshot_time, Duration::from_millis(2));
         assert_eq!(a.recovery_replayed_batches, 3);
         assert_eq!(a.last_truncated_seq, 5, "truncation watermark is a max");
-    }
-
-    #[test]
-    fn absorb_takes_max_kernel_lanes() {
-        let mut a = BatchMetrics {
-            kernel_lanes: 8,
-            ..Default::default()
-        };
-        let b = BatchMetrics {
-            kernel_lanes: 4,
-            ..Default::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.kernel_lanes, 8, "lane width is a max, not a sum");
     }
 }

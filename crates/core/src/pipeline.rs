@@ -26,7 +26,7 @@ use std::time::Instant;
 /// and back to [`Normal`](CachePressure::Normal) when pressure clears.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CachePressure {
-    /// No pressure: the configured `pli_cache`/`pli_cache_bytes` apply.
+    /// No pressure: the configured `pli_cache_bytes` applies.
     #[default]
     Normal,
     /// Cache budget clamped to `min(configured, given)` bytes; excess
@@ -84,9 +84,9 @@ pub struct DynFd {
     /// [`DynFd::state_divergence`] ignores it.
     pub(crate) failpoint: Option<FailPoint>,
     /// Memoized PLI intersections reused across candidates and batches
-    /// (`DynFdConfig::pli_cache`). Pure acceleration state derived from
-    /// the relation: [`DynFd::state_divergence`] deliberately ignores
-    /// it, and it is cleared whenever a batch rolls back.
+    /// (`DynFdConfig::pli_cache_bytes`). Pure acceleration state derived
+    /// from the relation: [`DynFd::state_divergence`] deliberately
+    /// ignores it, and it is cleared whenever a batch rolls back.
     pub(crate) pli_cache: PliCache,
     /// Governor-imposed memory pressure on the acceleration layer (see
     /// [`CachePressure`]). Operator bookkeeping like `failpoint`:
@@ -223,9 +223,10 @@ impl DynFd {
     }
 
     /// Whether the PLI-intersection cache is active for the next batch:
-    /// configured on *and* not suppressed by governor pressure.
+    /// configured with a non-zero budget *and* not suppressed by
+    /// governor pressure.
     pub fn cache_enabled(&self) -> bool {
-        self.config.pli_cache && self.cache_pressure != CachePressure::Uncached
+        self.config.pli_cache_bytes > 0 && self.cache_pressure != CachePressure::Uncached
     }
 
     /// The cache byte budget the next batch will run under (the
@@ -272,7 +273,6 @@ impl DynFd {
         let mut metrics = BatchMetrics {
             inserts: applied.inserted.len(),
             deletes: applied.deleted.len(),
-            kernel_lanes: dynfd_relation::kernel::active_kernel().lanes(),
             ..BatchMetrics::default()
         };
 
@@ -287,7 +287,7 @@ impl DynFd {
         } else if !self.pli_cache.is_empty() {
             self.pli_cache.clear();
         }
-        if self.config.pli_cache && self.cache_pressure != CachePressure::Normal {
+        if self.config.pli_cache_bytes > 0 && self.cache_pressure != CachePressure::Normal {
             metrics.degraded_batches = 1;
         }
 
@@ -372,8 +372,9 @@ impl DynFd {
     /// both phases use. The worker count is resolved once from the
     /// configured budget and the small-level sequential fallback
     /// (`DynFdConfig::parallel_min_jobs`); the jobs then run through the
-    /// PLI-intersection cache when enabled (`DynFdConfig::pli_cache`),
-    /// plain otherwise. Results come back in job order.
+    /// PLI-intersection cache when enabled
+    /// (`DynFdConfig::pli_cache_bytes` > 0), plain otherwise. Results
+    /// come back in job order.
     pub(crate) fn run_level_validations(
         &mut self,
         jobs: &[ValidationJob],

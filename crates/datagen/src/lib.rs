@@ -20,6 +20,7 @@
 //! Everything is seeded ChaCha8, so a given profile always regenerates
 //! the identical dataset and change stream, bit for bit.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod changes;

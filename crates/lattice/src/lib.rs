@@ -21,6 +21,7 @@
 //!   interface, used by the property-test suites as an oracle for
 //!   `FdTree`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod closure;

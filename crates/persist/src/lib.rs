@@ -23,6 +23,8 @@
 //! No serde, no external crates: the formats are hand-rolled binary
 //! (see [`codec`]) plus the established `lattice::io` cover text.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod crc;
 pub mod engine;

@@ -30,13 +30,13 @@
 //! clusters* — the same comparisons are avoided without ever rewriting a
 //! compressed record retroactively.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod batch;
 mod changelog;
 mod csv;
 mod dictionary;
-pub mod kernel;
 pub mod parallel;
 mod pli;
 pub mod pli_cache;
@@ -52,7 +52,7 @@ pub use parallel::{
     adaptive_workers, par_map, resolve_parallelism, validate_many, validate_many_cached,
     ValidationJob,
 };
-pub use pli::{intersect_clusters, Pli};
+pub use pli::Pli;
 pub use pli_cache::{CacheEffects, CacheStats, CachedPartition, PliCache, PliCacheSnapshot};
 pub use relation::{DynamicRelation, NullPolicy, RowRef, UndoLog, DEAD_RID, NO_SLOT};
 pub use rowstore::{validate_rowstore, RowStoreRelation};

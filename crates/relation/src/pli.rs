@@ -10,8 +10,8 @@
 //! * All cluster members live in one backing `Vec<u32>` arena (`data`);
 //!   a cluster is a `(start, len)` range into it, so there is no
 //!   per-cluster `Vec` allocation and a cluster scan is one contiguous
-//!   `u32` slice — sorted-merge intersections over two such slices
-//!   autovectorize ([`intersect_clusters`]).
+//!   `u32` slice, which the validator streams while it refines the
+//!   cluster by the remaining LHS columns' value codes.
 //! * The value-code → cluster map is a flat `heads` vector indexed by
 //!   code (codes are dense, first-seen-ordered `u32`s), replacing the
 //!   former `BTreeMap`. Iterating `heads` in index order reproduces the
@@ -36,7 +36,6 @@
 //! violation-witness contract depends on.
 
 use crate::dictionary::ValueId;
-use crate::kernel;
 use dynfd_common::RecordId;
 
 /// Sentinel in `heads` for "no cluster for this code".
@@ -355,116 +354,6 @@ impl Pli {
     }
 }
 
-/// Intersects two rid-sorted clusters (slot slices of possibly different
-/// PLIs over the same relation), appending the slots common to both to
-/// `out` in rid order — the partition-product refinement step
-/// (π_a · π_b) evaluated cluster-by-cluster.
-///
-/// Both inputs are contiguous `u32` slices sorted by the occupying
-/// record id (`slot_rids[slot]`), so the intersection is a sorted merge.
-/// When the sizes are lopsided (> [`kernel::GALLOP_RATIO`]×), the merge
-/// *gallops*: each member of the small side binary-searches the large
-/// side with exponentially growing probes, giving O(small · log large)
-/// instead of O(small + large). Comparable-size inputs above
-/// [`kernel::SIMD_MIN_LEN`] dispatch to the explicitly vectorized
-/// block-compare kernel ([`kernel::intersect_keyed`]): record-id keys
-/// are gathered into thread-local scratch, narrowed to `u32` (falling
-/// back to the scalar merge for the rare relation whose rids outgrow
-/// `u32`), and the surviving `a`-side slots come back compacted in rid
-/// order — bit-identical to the scalar merge by the kernel's contract.
-pub fn intersect_clusters(a: &[u32], b: &[u32], slot_rids: &[RecordId], out: &mut Vec<u32>) {
-    let (small, large, small_is_a) = if a.len() <= b.len() {
-        (a, b, true)
-    } else {
-        (b, a, false)
-    };
-    if small.is_empty() {
-        return;
-    }
-    let rid = |s: u32| slot_rids[s as usize];
-    if kernel::use_gallop(small.len(), large.len()) {
-        // Galloping path: probe the large side per small member.
-        let mut lo = 0usize;
-        for &s in small {
-            let key = rid(s);
-            // Exponential probe from the last match position.
-            let mut step = 1usize;
-            let mut hi = lo;
-            while hi < large.len() && rid(large[hi]) < key {
-                lo = hi + 1;
-                hi += step;
-                step <<= 1;
-            }
-            // The probe stopped at `hi` because `large[hi] >= key` (or
-            // ran off the end); `hi` itself may hold the key, so the
-            // search window must include it.
-            let hi = (hi + 1).min(large.len());
-            match large[lo..hi].binary_search_by(|&x| rid(x).cmp(&key)) {
-                Ok(pos) => {
-                    out.push(if small_is_a { s } else { large[lo + pos] });
-                    lo += pos + 1;
-                }
-                Err(pos) => lo += pos,
-            }
-            if lo >= large.len() {
-                break;
-            }
-        }
-    } else if !try_simd_intersect(a, b, slot_rids, out) {
-        // Linear merge over the two contiguous slices.
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < small.len() && j < large.len() {
-            let (ri, rj) = (rid(small[i]), rid(large[j]));
-            match ri.cmp(&rj) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(if small_is_a { small[i] } else { large[j] });
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-}
-
-thread_local! {
-    /// Per-thread gather scratch for the SIMD path: the two clusters'
-    /// record-id keys, narrowed to `u32`. Thread-local so parallel
-    /// validation workers never contend or allocate per call.
-    static GATHER_KEYS: std::cell::RefCell<(Vec<u32>, Vec<u32>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-}
-
-/// Attempts the vectorized block-compare path. Returns `false` (having
-/// written nothing) when the active kernel is scalar, either side is too
-/// short to amortize the gather, or a record id does not fit in `u32`
-/// (the clusters are rid-sorted, so checking each side's last member
-/// bounds the whole slice).
-fn try_simd_intersect(a: &[u32], b: &[u32], slot_rids: &[RecordId], out: &mut Vec<u32>) -> bool {
-    let kind = kernel::active_kernel();
-    if kind == kernel::KernelKind::Scalar
-        || a.len() < kernel::SIMD_MIN_LEN
-        || b.len() < kernel::SIMD_MIN_LEN
-    {
-        return false;
-    }
-    let amax = slot_rids[a[a.len() - 1] as usize].0;
-    let bmax = slot_rids[b[b.len() - 1] as usize].0;
-    if amax > u64::from(u32::MAX) || bmax > u64::from(u32::MAX) {
-        return false;
-    }
-    GATHER_KEYS.with(|g| {
-        let (a_keys, b_keys) = &mut *g.borrow_mut();
-        a_keys.clear();
-        a_keys.extend(a.iter().map(|&s| slot_rids[s as usize].0 as u32));
-        b_keys.clear();
-        b_keys.extend(b.iter().map(|&s| slot_rids[s as usize].0 as u32));
-        kernel::intersect_keyed_with(kind, a_keys, a, b_keys, out);
-    });
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,125 +517,5 @@ mod tests {
         assert!(p.remove(0, 1, RecordId(1), &rids));
         let values: Vec<ValueId> = p.iter().map(|(v, _)| v).collect();
         assert_eq!(values, vec![1, 2]);
-    }
-
-    #[test]
-    fn intersect_merge_and_gallop_agree() {
-        let rids = identity_rids(4096);
-        let a: Vec<u32> = (0..4096).filter(|i| i % 3 == 0).collect();
-        let b: Vec<u32> = (0..4096).filter(|i| i % 5 == 0).collect();
-        let expected: Vec<u32> = (0..4096).filter(|i| i % 15 == 0).collect();
-        let mut out = Vec::new();
-        intersect_clusters(&a, &b, &rids, &mut out);
-        assert_eq!(out, expected);
-        // Lopsided sizes take the galloping path; same result.
-        let small: Vec<u32> = (0..4096).filter(|i| i % 512 == 0).collect();
-        let mut out = Vec::new();
-        intersect_clusters(&small, &b, &rids, &mut out);
-        let expected: Vec<u32> = (0..4096).filter(|i| i % 2560 == 0).collect();
-        assert_eq!(out, expected);
-        // Symmetric argument order.
-        let mut out2 = Vec::new();
-        intersect_clusters(&b, &small, &rids, &mut out2);
-        assert_eq!(out2, expected);
-    }
-
-    #[test]
-    fn intersect_empty_and_disjoint() {
-        let rids = identity_rids(64);
-        let mut out = Vec::new();
-        intersect_clusters(&[], &[1, 2, 3], &rids, &mut out);
-        assert!(out.is_empty());
-        intersect_clusters(&[0, 2, 4], &[1, 3, 5], &rids, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn intersect_respects_rid_order_not_slot_order() {
-        // Slots scrambled relative to rids: intersection keys on rids.
-        let rids = vec![RecordId(9), RecordId(1), RecordId(5), RecordId(3)];
-        // Cluster A = slots {1, 3, 0} (rids 1, 3, 9); B = slots {1, 2, 0}
-        // (rids 1, 5, 9).
-        let mut out = Vec::new();
-        intersect_clusters(&[1, 3, 0], &[1, 2, 0], &rids, &mut out);
-        assert_eq!(out, vec![1, 0]);
-    }
-
-    /// Reference intersection: plain double loop on rid keys.
-    fn reference_intersect(a: &[u32], b: &[u32], rids: &[RecordId]) -> Vec<u32> {
-        a.iter()
-            .copied()
-            .filter(|&s| b.iter().any(|&t| rids[t as usize] == rids[s as usize]))
-            .collect()
-    }
-
-    #[test]
-    fn gallop_threshold_boundary_agrees_with_merge() {
-        // Sizes at ratios GALLOP_RATIO - 1, GALLOP_RATIO, GALLOP_RATIO + 1
-        // (7x / 8x / 9x): the middle one is the first to gallop, and all
-        // three must agree with the plain merge result. A future tweak of
-        // the tunable shifts which path runs, never what it returns.
-        let rids = identity_rids(4096);
-        for ratio in [
-            kernel::GALLOP_RATIO - 1,
-            kernel::GALLOP_RATIO,
-            kernel::GALLOP_RATIO + 1,
-        ] {
-            let small_len = 32usize;
-            let large_len = small_len * ratio;
-            assert_eq!(
-                kernel::use_gallop(small_len, large_len),
-                ratio >= kernel::GALLOP_RATIO
-            );
-            let small: Vec<u32> = (0..small_len as u32).map(|i| i * 7 % 4096).collect();
-            let mut small = small;
-            small.sort_unstable();
-            small.dedup();
-            let large: Vec<u32> = (0..large_len as u32).map(|i| i * 3 % 4096).collect();
-            let mut large = large;
-            large.sort_unstable();
-            large.dedup();
-            let expected = reference_intersect(&small, &large, &rids);
-            let mut out = Vec::new();
-            intersect_clusters(&small, &large, &rids, &mut out);
-            assert_eq!(out, expected, "ratio {ratio} (a = small) diverged");
-            // Argument order flipped: the result must hold b-side slots.
-            let expected_b = reference_intersect(&large, &small, &rids);
-            let mut out = Vec::new();
-            intersect_clusters(&large, &small, &rids, &mut out);
-            assert_eq!(out, expected_b, "ratio {ratio} (a = large) diverged");
-        }
-    }
-
-    #[test]
-    fn simd_and_scalar_cluster_intersections_agree() {
-        // Comparable sizes above SIMD_MIN_LEN take the vectorized path
-        // when enabled; forcing scalar must not change a single slot.
-        let rids = identity_rids(8192);
-        let a: Vec<u32> = (0..8192).filter(|i| i % 2 == 0).collect();
-        let b: Vec<u32> = (0..8192).filter(|i| i % 3 != 1).collect();
-        let mut simd_out = Vec::new();
-        kernel::set_simd_enabled(true);
-        intersect_clusters(&a, &b, &rids, &mut simd_out);
-        let mut scalar_out = Vec::new();
-        kernel::set_simd_enabled(false);
-        intersect_clusters(&a, &b, &rids, &mut scalar_out);
-        kernel::set_simd_enabled(true);
-        assert_eq!(simd_out, scalar_out);
-        assert_eq!(simd_out, reference_intersect(&a, &b, &rids));
-    }
-
-    #[test]
-    fn oversized_rids_fall_back_to_scalar() {
-        // Record ids beyond u32::MAX cannot narrow: the SIMD gather is
-        // refused and the scalar merge answers, keys still compared as
-        // full u64 rids.
-        let base = u64::from(u32::MAX) - 8;
-        let rids: Vec<RecordId> = (0..64).map(|i| RecordId(base + i)).collect();
-        let a: Vec<u32> = (0..64).collect();
-        let b: Vec<u32> = (0..64).filter(|i| i % 2 == 0).collect();
-        let mut out = Vec::new();
-        intersect_clusters(&a, &b, &rids, &mut out);
-        assert_eq!(out, reference_intersect(&a, &b, &rids));
     }
 }

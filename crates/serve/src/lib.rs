@@ -16,6 +16,7 @@
 //! `tests/tenant_isolation.rs`, the `wire-*` fuzz injections, and the
 //! `serve-drain` crash-harness case).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod client;

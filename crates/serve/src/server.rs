@@ -73,7 +73,8 @@ pub struct TenantQuota {
     /// dictionaries + PLIs + PLI-intersection cache, per
     /// `DynFd::resident_bytes`). A tenant over the ceiling is first
     /// *degraded* (cache squeezed, then dropped); only if it stays over
-    /// uncached is the submission rejected with wire code 17.
+    /// uncached is the submission rejected with wire code 17. A tenant
+    /// configured without a cache is rejected at once.
     pub max_resident_bytes: Option<u64>,
     /// Ceiling on a tenant's cumulative wall-clock time spent inside
     /// `apply`. Once crossed, further submissions are rejected with
@@ -516,15 +517,17 @@ impl ServeEngine {
 
     /// Steps a tenant's cache pressure one notch down (Normal →
     /// Squeezed(quarter budget) → Uncached), refreshes its resident
-    /// estimate, and returns it. Waits for the engine lock, so the cost
-    /// lands on the submitter that triggered governance.
+    /// estimate, and returns it. A tenant configured without a cache
+    /// (`pli_cache_bytes == 0`) has nothing to degrade and takes no
+    /// step. Waits for the engine lock, so the cost lands on the
+    /// submitter that triggered governance.
     fn degrade_tenant(&self, tenant: &Arc<Tenant>) -> u64 {
         let stepped = tenant.with_backend(|b| {
             let engine = b.dynfd_mut();
+            let budget = engine.config().pli_cache_bytes;
             let next = match engine.cache_pressure() {
-                CachePressure::Normal => {
-                    Some(CachePressure::Squeezed(engine.config().pli_cache_bytes / 4))
-                }
+                _ if budget == 0 => None,
+                CachePressure::Normal => Some(CachePressure::Squeezed(budget / 4)),
                 CachePressure::Squeezed(_) => Some(CachePressure::Uncached),
                 CachePressure::Uncached => None,
             };

@@ -18,6 +18,7 @@
 //! each other on random relations — the strongest correctness oracle
 //! available without the original authors' code.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fdep;

@@ -63,6 +63,7 @@
 //! Everything is seeded; a `(seed, case)` pair regenerates the identical
 //! trace bit for bit, on every machine.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod chaos;

@@ -394,11 +394,6 @@ fn cmd_maintain(args: &[String]) -> Result<(), CliError> {
             "# stats: pli-cache {} hits, {} misses, {} evictions, {} bytes resident",
             totals.cache_hits, totals.cache_misses, totals.cache_evictions, totals.cache_bytes,
         );
-        eprintln!(
-            "# stats: kernel {} ({} lanes)",
-            dynfd_relation::kernel::active_kernel().name(),
-            totals.kernel_lanes,
-        );
     }
     if let Some(p) = save_path {
         std::fs::write(&p, write_cover(dynfd.positive_cover(), &schema))
@@ -596,11 +591,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         eprintln!(
             "# stats: pli-cache {} hits, {} misses, {} evictions, {} bytes resident",
             totals.cache_hits, totals.cache_misses, totals.cache_evictions, totals.cache_bytes,
-        );
-        eprintln!(
-            "# stats: kernel {} ({} lanes)",
-            dynfd_relation::kernel::active_kernel().name(),
-            totals.kernel_lanes,
         );
     }
     if let Some(p) = save_path {

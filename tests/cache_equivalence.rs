@@ -125,12 +125,11 @@ proptest! {
     ) {
         let rel = DynamicRelation::from_rows(Schema::anonymous("c", COLS), &initial).unwrap();
         let squeezed = DynFdConfig {
-            pli_cache: true,
             pli_cache_bytes: TINY_BUDGET,
             ..DynFdConfig::default()
         };
         let disabled = DynFdConfig {
-            pli_cache: false,
+            pli_cache_bytes: 0,
             ..DynFdConfig::default()
         };
         let mut on = DynFd::new(rel.clone(), squeezed);

@@ -7,6 +7,7 @@
 //! its batch applied once the pressure clears: governance degrades
 //! service, it never livelocks it.
 
+use dynfd_core::DynFdConfig;
 use dynfd_relation::Batch;
 use dynfd_serve::{
     submit_with_retry, AdmissionPolicy, RetryPolicy, ServeConfig, ServeEngine, ServeError,
@@ -128,4 +129,37 @@ proptest! {
             .map_err(|_| TestCaseError::fail("engine still shared"))?;
         engine.shutdown();
     }
+}
+
+/// A tenant whose engine runs without a PLI cache has nothing for the
+/// degradation ladder to squeeze or drop: over its byte quota it is
+/// refused with code 17 straight away, and no degradation step is
+/// counted for it or for the pool.
+#[test]
+fn uncached_tenant_over_quota_is_refused_without_degrading() {
+    let engine = ServeEngine::new(ServeConfig {
+        workers: 1,
+        root: None,
+        engine: DynFdConfig {
+            pli_cache_bytes: 0,
+            ..DynFdConfig::default()
+        },
+        quota: TenantQuota {
+            max_resident_bytes: Some(1),
+            max_cpu: None,
+        },
+        ..ServeConfig::default()
+    });
+    engine
+        .open_tenant("t", dynfd_common::Schema::anonymous("t", 2), &[])
+        .expect("open tenant");
+    for i in 0..4u64 {
+        match engine.submit("t", 1 + i, tiny_batch(i), |_| {}) {
+            Err(e @ ServeError::QuotaExceeded { .. }) => assert_eq!(e.wire_code(), 17),
+            other => panic!("an over-quota tenant must be refused with code 17, got {other:?}"),
+        }
+    }
+    assert_eq!(engine.metrics("t").expect("tenant metrics").degrades, 0);
+    assert_eq!(engine.global_metrics().totals.degrades, 0);
+    engine.shutdown();
 }

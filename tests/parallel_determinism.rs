@@ -269,7 +269,11 @@ fn arb_config() -> impl Strategy<Value = DynFdConfig> {
                 },
                 validation_pruning: validation,
                 depth_first_search: dfs,
-                pli_cache: cache,
+                pli_cache_bytes: if cache {
+                    DynFdConfig::default().pli_cache_bytes
+                } else {
+                    0
+                },
                 parallel_min_jobs: 1,
                 ..DynFdConfig::default()
             },
