@@ -2,6 +2,18 @@
 
 use dynfd_common::AttrSet;
 
+/// Fraction of invalid (resp. valid) outcomes per lattice level beyond
+/// which the traversal is considered inefficient and the violation
+/// search (resp. depth-first search) starts; the progressive violation
+/// search also stops once fewer than this share of its comparisons
+/// reveal something new. 0.1, hard-coded in the paper, which cites
+/// \[13\] for why it is a good value.
+pub(crate) const INEFFICIENCY_THRESHOLD: f64 = 0.1;
+
+/// Fraction of newly valid FDs used to seed depth-first searches (0.1
+/// in the paper).
+pub(crate) const DFS_SEED_FRACTION: f64 = 0.1;
+
 /// How the insert-phase violation search compares record pairs
 /// (Section 4.3 / the §6.5 ablation baseline).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,10 +50,12 @@ pub enum ConsistencyLevel {
 
 /// Tuning and ablation knobs for [`DynFd`](crate::DynFd).
 ///
-/// The defaults enable all four pruning strategies with the paper's
-/// hard-coded 10 % thresholds. The §6.5 experiments toggle each strategy
-/// independently; [`DynFdConfig::baseline`] reproduces the paper's "-"
-/// row (no strategy beyond naive sampling).
+/// The defaults enable all four pruning strategies; their thresholds
+/// are the paper's hard-coded 10 % (the constants
+/// `INEFFICIENCY_THRESHOLD` and `DFS_SEED_FRACTION`). The §6.5
+/// experiments toggle each strategy independently;
+/// [`DynFdConfig::baseline`] reproduces the paper's "-" row (no strategy
+/// beyond naive sampling).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DynFdConfig {
     /// §4.2 cluster pruning: insert-phase validations skip PLI clusters
@@ -57,14 +71,6 @@ pub struct DynFdConfig {
     /// §5.3 optimistic depth-first searches when a delete batch
     /// validates many non-FDs.
     pub depth_first_search: bool,
-    /// Fraction of invalid (resp. valid) outcomes per lattice level
-    /// beyond which the traversal is considered inefficient and the
-    /// violation search (resp. depth-first search) starts. 0.1 in the
-    /// paper (hard-coded there, citing [13] for why it is a good value).
-    pub inefficiency_threshold: f64,
-    /// Fraction of newly valid FDs used to seed depth-first searches
-    /// (0.1 in the paper).
-    pub dfs_seed_fraction: f64,
     /// **Extension** (paper Section 8, item 2): attributes the user
     /// declares to be keys *for the lifetime of the relation*. An FD
     /// whose LHS contains a declared key can never be invalidated, so
@@ -122,8 +128,6 @@ impl Default for DynFdConfig {
             violation_search: SearchMode::Progressive,
             validation_pruning: true,
             depth_first_search: true,
-            inefficiency_threshold: 0.1,
-            dfs_seed_fraction: 0.1,
             known_keys: AttrSet::empty(),
             update_pruning: false,
             parallelism: 0,

@@ -14,6 +14,7 @@
 //!   optimistic depth-first probes hunt for small-LHS maximal non-FDs
 //!   that prune whole swaths of candidates.
 
+use crate::config::INEFFICIENCY_THRESHOLD;
 use crate::errors::DynFdResult;
 use crate::failpoint::FailPhase;
 use crate::{BatchMetrics, DynFd};
@@ -107,7 +108,7 @@ impl DynFd {
             // non-FDs of this level turned valid.
             if self.config.depth_first_search
                 && total > 0
-                && valid_fds.len() as f64 / total as f64 > self.config.inefficiency_threshold
+                && valid_fds.len() as f64 / total as f64 > INEFFICIENCY_THRESHOLD
             {
                 self.depth_first_from_seeds(&valid_fds, metrics);
             }

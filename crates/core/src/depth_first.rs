@@ -10,6 +10,7 @@
 //! Algorithm 6 — deepest first, because a more general FD deduces
 //! strictly more.
 
+use crate::config::DFS_SEED_FRACTION;
 use crate::{BatchMetrics, DynFd};
 use dynfd_common::{AttrSet, Fd};
 use dynfd_relation::{validate_with, ValidationOptions, ValidatorScratch};
@@ -17,7 +18,7 @@ use std::collections::HashSet;
 
 impl DynFd {
     /// Launches depth-first searches from a deterministic
-    /// `dfs_seed_fraction` sample of the newly valid FDs (at least one).
+    /// [`DFS_SEED_FRACTION`] sample of the newly valid FDs (at least one).
     ///
     /// The paper samples 10 % of the seeds because the searches are "an
     /// optimistic optimization attempt and should not change the search
@@ -28,7 +29,7 @@ impl DynFd {
             return;
         }
         let n = seeds.len();
-        let k = ((n as f64 * self.config.dfs_seed_fraction).ceil() as usize).clamp(1, n);
+        let k = ((n as f64 * DFS_SEED_FRACTION).ceil() as usize).clamp(1, n);
         let stride = n.div_ceil(k);
         let mut visited: HashSet<Fd> = HashSet::new();
         // One scratch serves the whole search: the recursion is

@@ -14,6 +14,7 @@
 //!   per-candidate validation is losing to the churn, and cheap record
 //!   pair comparisons find the remaining violations faster.
 
+use crate::config::INEFFICIENCY_THRESHOLD;
 use crate::errors::{DynFdError, DynFdResult};
 use crate::failpoint::FailPhase;
 use crate::{BatchMetrics, DynFd};
@@ -137,8 +138,7 @@ impl DynFd {
 
             // Lines 16-17: progressive violation search when the lattice
             // traversal became inefficient.
-            if total > 0 && invalid_count as f64 / total as f64 > self.config.inefficiency_threshold
-            {
+            if total > 0 && invalid_count as f64 / total as f64 > INEFFICIENCY_THRESHOLD {
                 self.violation_search(&applied.inserted, &applied.inserted_slots, metrics)?;
             }
             level += 1;

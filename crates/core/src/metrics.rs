@@ -2,10 +2,10 @@
 
 use std::time::Duration;
 
-/// Counters describing the work one [`DynFd::apply_batch`]
-/// (crate::DynFd::apply_batch) call performed. The §6.5 ablation
-/// experiments read these to attribute runtime to the individual
-/// pruning strategies.
+/// Counters describing the work one
+/// [`DynFd::apply_batch`](crate::DynFd::apply_batch) call performed.
+/// The §6.5 ablation experiments read these to attribute runtime to the
+/// individual pruning strategies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchMetrics {
     /// Wall-clock time of the whole batch (structure updates + both
@@ -92,8 +92,8 @@ pub struct BatchMetrics {
     pub degraded_batches: usize,
     /// WAL frames replayed by the `FdEngine::recover` call that
     /// preceded this batch. The durable engine stamps the count into
-    /// the first batch applied after a recovery so longitudinal
-    /// consumers ([`FdMonitor`](crate::FdMonitor)) see it; 0 otherwise.
+    /// the first batch applied after a recovery, so totals built with
+    /// [`BatchMetrics::absorb`] count it once; 0 otherwise.
     pub recovery_replayed_batches: usize,
     /// Highest batch sequence number the durable engine has rewound out
     /// of the WAL — a rejected or rolled-back batch whose pre-logged

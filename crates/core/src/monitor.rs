@@ -51,19 +51,6 @@ struct FdStats {
 pub struct FdMonitor {
     batch_no: u64,
     stats: HashMap<Fd, FdStats>,
-    /// Degraded-mode cover rebuilds observed across all batches (from
-    /// `BatchMetrics::cover_rebuilds`).
-    recoveries: u64,
-    /// Total write-ahead-log bytes observed (`BatchMetrics::wal_bytes`).
-    wal_bytes: u64,
-    /// Total fsync calls observed (`BatchMetrics::fsyncs`).
-    fsyncs: u64,
-    /// Total WAL frames replayed by recoveries that preceded observed
-    /// batches (`BatchMetrics::recovery_replayed_batches`).
-    replayed_batches: u64,
-    /// Highest truncated-out batch sequence number observed
-    /// (`BatchMetrics::last_truncated_seq`); 0 = never.
-    last_truncated_seq: u64,
 }
 
 /// What one batch did to the tracked FD population, with ages attached.
@@ -102,37 +89,6 @@ impl FdMonitor {
         self.batch_no
     }
 
-    /// Total degraded-mode cover rebuilds observed across all batches.
-    pub fn recovery_count(&self) -> u64 {
-        self.recoveries
-    }
-
-    /// Total bytes appended to the write-ahead batch log across all
-    /// observed batches (0 for a purely in-memory engine).
-    pub fn wal_bytes(&self) -> u64 {
-        self.wal_bytes
-    }
-
-    /// Total `fsync` calls the durable engine issued across all
-    /// observed batches.
-    pub fn fsync_count(&self) -> u64 {
-        self.fsyncs
-    }
-
-    /// Total WAL frames replayed by crash recoveries that preceded
-    /// observed batches — nonzero values mean the process restarted at
-    /// least once and resumed from durable state.
-    pub fn recovery_replayed_batches(&self) -> u64 {
-        self.replayed_batches
-    }
-
-    /// The highest batch sequence number ever rewound out of the WAL
-    /// (rejected batch or corruption truncation), if any — an operator
-    /// signal that logged work was deliberately discarded.
-    pub fn last_truncated_seq(&self) -> Option<u64> {
-        (self.last_truncated_seq > 0).then_some(self.last_truncated_seq)
-    }
-
     /// Incorporates one batch's delta and reports breaks/appearances.
     pub fn observe(&mut self, result: &BatchResult) -> MonitorReport {
         self.batch_no += 1;
@@ -140,13 +96,6 @@ impl FdMonitor {
             recovered: result.metrics.cover_rebuilds > 0,
             ..MonitorReport::default()
         };
-        self.recoveries += result.metrics.cover_rebuilds as u64;
-        self.wal_bytes += result.metrics.wal_bytes as u64;
-        self.fsyncs += result.metrics.fsyncs as u64;
-        self.replayed_batches += result.metrics.recovery_replayed_batches as u64;
-        self.last_truncated_seq = self
-            .last_truncated_seq
-            .max(result.metrics.last_truncated_seq);
         for &fd in &result.removed {
             let entry = self.stats.entry(fd).or_default();
             let age = entry.present_since.map_or(0, |s| self.batch_no - 1 - s);
@@ -299,28 +248,6 @@ mod tests {
         assert_eq!(m.age(&a), Some(0));
         assert_eq!(m.stability(&a), 1.0);
         assert_eq!(m.batches_observed(), 0);
-    }
-
-    #[test]
-    fn wal_counters_accumulate() {
-        let mut m = FdMonitor::new(&[]);
-        assert_eq!(m.wal_bytes(), 0);
-        assert_eq!(m.last_truncated_seq(), None);
-        let mut r = result(&[], &[]);
-        r.metrics.wal_bytes = 120;
-        r.metrics.fsyncs = 2;
-        r.metrics.recovery_replayed_batches = 4;
-        r.metrics.last_truncated_seq = 9;
-        m.observe(&r);
-        let mut r2 = result(&[], &[]);
-        r2.metrics.wal_bytes = 30;
-        r2.metrics.fsyncs = 1;
-        r2.metrics.last_truncated_seq = 3;
-        m.observe(&r2);
-        assert_eq!(m.wal_bytes(), 150);
-        assert_eq!(m.fsync_count(), 3);
-        assert_eq!(m.recovery_replayed_batches(), 4);
-        assert_eq!(m.last_truncated_seq(), Some(9));
     }
 
     #[test]

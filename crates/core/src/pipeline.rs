@@ -128,12 +128,14 @@ impl DynFd {
     }
 
     /// Reassembles an engine from previously saved state: the relation,
-    /// both covers, and the §5.2 violation annotations, all restored
-    /// verbatim — nothing is re-derived, so the result is structurally
-    /// identical ([`DynFd::state_eq`]) to the instance the state was
-    /// read from. This is the restore path of the durable engine
-    /// (`dynfd-persist`); the caller vouches that the parts belong
-    /// together (snapshot checksums guard the transport).
+    /// the positive cover, and the §5.2 violation annotations. The
+    /// negative cover is derived by inversion (Algorithm 1), as in
+    /// [`DynFd::with_cover`]; since the maintained negative cover always
+    /// equals that inversion, the result is structurally identical
+    /// ([`DynFd::state_eq`]) to the instance the state was read from.
+    /// This is the restore path of the durable engine (`dynfd-persist`);
+    /// the caller vouches that the parts belong together (snapshot
+    /// checksums guard the transport).
     ///
     /// Acceleration state (the PLI-intersection cache) and recovery
     /// statistics start empty — they are derived/operator data that
@@ -141,26 +143,14 @@ impl DynFd {
     pub fn from_saved_state(
         rel: DynamicRelation,
         fds: FdTree,
-        non_fds: FdTree,
         annotations: &[(Fd, (dynfd_common::RecordId, dynfd_common::RecordId))],
         config: DynFdConfig,
     ) -> Self {
-        let mut violations = ViolationStore::new();
+        let mut engine = Self::with_cover(rel, fds, config);
         for &(fd, pair) in annotations {
-            violations.attach(fd, pair);
+            engine.violations.attach(fd, pair);
         }
-        DynFd {
-            rel,
-            fds,
-            non_fds,
-            violations,
-            config,
-            failpoint: None,
-            pli_cache: PliCache::new(config.pli_cache_bytes),
-            cache_pressure: CachePressure::Normal,
-            recoveries: 0,
-            last_breach: None,
-        }
+        engine
     }
 
     /// The maintained relation.

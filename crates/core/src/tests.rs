@@ -929,7 +929,6 @@ fn cover_corruption_triggers_degraded_rebuild_under_cheap_consistency() {
 
     let report = monitor.observe(&result);
     assert!(report.recovered, "monitor surfaces the rebuild");
-    assert_eq!(monitor.recovery_count(), 1);
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! The §6.5 baseline keeps a *naive* variant — window 1 only — because
 //! dropping the violation search entirely cripples the algorithm.
 
-use crate::config::SearchMode;
+use crate::config::{SearchMode, INEFFICIENCY_THRESHOLD};
 use crate::errors::{DynFdError, DynFdResult};
 use crate::{BatchMetrics, DynFd};
 use dynfd_common::{AttrSet, RecordId};
@@ -175,9 +175,7 @@ impl DynFd {
             }
             // Progressive efficiency cut-off: stop once fewer than the
             // threshold share of comparisons reveal something new.
-            if comparisons > 0
-                && (learned as f64 / comparisons as f64) < self.config.inefficiency_threshold
-            {
+            if comparisons > 0 && (learned as f64 / comparisons as f64) < INEFFICIENCY_THRESHOLD {
                 break;
             }
             dist += 1;

@@ -1,7 +1,7 @@
 //! Armstrong-closure reasoning over a positive cover.
 //!
-//! The applications the paper motivates — schema normalization [4],
-//! query optimization [14] — consume the discovered FDs through
+//! The applications the paper motivates — schema normalization \[4\],
+//! query optimization \[14\] — consume the discovered FDs through
 //! implication queries: *does `X -> A` follow?*, *what does `X`
 //! determine?*, *which attribute sets are keys?*. This module answers
 //! them directly on the maintained [`FdTree`] cover.

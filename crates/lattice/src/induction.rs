@@ -62,8 +62,8 @@ pub fn generalize_into(non_fds: &mut FdTree, x: AttrSet, rhs: AttrId) -> Vec<Att
     valid
 }
 
-/// Classic dependency induction ("cover inversion" in [6], "dependency
-/// induction" in [13]): derives the positive cover of minimal FDs from a
+/// Classic dependency induction ("cover inversion" in \[6\], "dependency
+/// induction" in \[13\]): derives the positive cover of minimal FDs from a
 /// negative cover of (maximal) non-FDs over an `arity`-column relation.
 ///
 /// For each RHS a level-wise search ascends from `∅`: a candidate LHS
@@ -72,9 +72,9 @@ pub fn generalize_into(non_fds: &mut FdTree, x: AttrSet, rhs: AttrId) -> Vec<Att
 /// non-FD; a candidate with no such specialization is valid, and —
 /// because levels are processed in order — minimal.
 ///
-/// This is the inverse of [`invert_positive_cover`]
-/// (crate::invert_positive_cover); the two functions round-trip, which
-/// the integration tests exercise.
+/// This is the inverse of
+/// [`invert_positive_cover`](crate::invert_positive_cover); the two
+/// functions round-trip, which the integration tests exercise.
 pub fn induce_from_negative_cover(non_fds: &FdTree, arity: usize) -> FdTree {
     let mut fds = FdTree::new();
     for rhs in 0..arity {

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 /// A prefix tree over attribute sets with RHS annotations — the storage
 /// format DynFD uses for both the positive cover (minimal FDs) and the
-/// negative cover (maximal non-FDs), following [6] and paper Section 3.2.
+/// negative cover (maximal non-FDs), following \[6\] and paper Section 3.2.
 ///
 /// A path from the root along strictly increasing attribute indices
 /// spells out an LHS; the [`AttrSet`] annotation at the final node lists

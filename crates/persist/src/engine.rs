@@ -21,7 +21,7 @@
 //!    [`DynFdError::WalCorrupt`] in the [`RecoveryReport`] — never a
 //!    panic. The recovered state is oracle-identical to replaying the
 //!    same batch prefix on a fresh engine: relation and covers are
-//!    bit-identical, and the §5.2 violation annotations are valid
+//!    equal, and the §5.2 violation annotations are valid
 //!    witnessing pairs (the exact pairs are surrogate accelerators
 //!    whose choice depends on the PLI-intersection cache path — see
 //!    [`DynFd::logical_divergence`]).
@@ -202,13 +202,7 @@ impl FdEngine {
             },
         })?;
         let snapshot_seq = state.seq;
-        let mut engine = DynFd::from_saved_state(
-            state.rel,
-            state.fds,
-            state.non_fds,
-            &state.annotations,
-            config,
-        );
+        let mut engine = DynFd::from_saved_state(state.rel, state.fds, &state.annotations, config);
 
         let path = wal_path(dir);
         let scan = if path.exists() {

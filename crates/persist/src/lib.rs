@@ -13,7 +13,7 @@
 //! - **[`FdEngine`]** — the wrapper tying both to `DynFd`:
 //!   log-before-apply, durable rewind of rejected batches, periodic
 //!   snapshots, and [`FdEngine::recover`], which reconstructs a
-//!   relation and covers *bit-identical* to a fresh replay of the
+//!   relation and covers *equal* to a fresh replay of the
 //!   surviving batch prefix (violation annotations stay valid; their
 //!   exact witness pairs are cache-path-dependent — see
 //!   `DynFd::logical_divergence`)

@@ -1,21 +1,19 @@
 //! Atomic full-state snapshots.
 //!
-//! A snapshot is the complete durable image of one engine at one batch
-//! sequence number: schema, null policy, dictionaries (including dead
-//! codes — restoration must be *bit-identical*, and value codes are
-//! assigned by insertion order), the columnar record arena in physical
-//! slot order together with its free-list (stack order preserved) and
-//! generation map, both covers (in the human-readable `lattice::io`
-//! text format), and the §5.2 violation annotations. Serializing the
-//! *layout* rather than just the logical records matters: a restored
-//! engine re-occupies exactly the slots the saved one held, so WAL
-//! replay after restore makes the same free-list pops and arena growth
-//! decisions as the uninterrupted run — the recovered arena is
-//! bit-identical, not merely logically equal. PLIs are deliberately
-//! absent: they are derived data, rebuilt deterministically from the
-//! arena by [`DynamicRelation::from_arena_parts`].
+//! A snapshot is the logical state of one engine at one batch sequence
+//! number: schema, null policy, the id counter, the dictionaries
+//! (including dead codes, so value codes stay stable across a restore),
+//! the live records in record-id order, the positive cover (in the
+//! human-readable `lattice::io` text format), and the §5.2 violation
+//! annotations. Everything else is derived on restore, the way the
+//! paper derives it: [`DynamicRelation::from_parts`] rebuilds the arena
+//! and the PLIs from the records (§3.1), and
+//! [`DynFd::from_saved_state`] inverts the positive cover into the
+//! negative one (Algorithm 1, §3.2). The arena's slot layout is not
+//! saved: no observable behaviour depends on it, because PLI clusters
+//! are kept rid-sorted.
 //!
-//! File layout: `magic "DYNFDSN2" | payload_len:u64 LE | crc:u32 LE |
+//! File layout: `magic "DYNFDSN3" | payload_len:u64 LE | crc:u32 LE |
 //! payload`. Written to `snapshot.tmp`, fsynced, then atomically
 //! renamed to `snapshot-{seq:016x}.snap` and the directory fsynced — a
 //! crash leaves either the old snapshot set or the new one, never a
@@ -27,14 +25,14 @@ use crate::crc::crc32;
 use dynfd_common::{AttrSet, Fd, RecordId, Schema, MAX_ATTRS};
 use dynfd_core::DynFd;
 use dynfd_lattice::{io as cover_io, FdTree};
-use dynfd_relation::{DynamicRelation, NullPolicy, ValueId, DEAD_RID};
+use dynfd_relation::{DynamicRelation, NullPolicy, ValueId};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::abort;
 
 /// File magic, first 8 bytes of every snapshot.
-pub const SNAP_MAGIC: [u8; 8] = *b"DYNFDSN2";
+pub const SNAP_MAGIC: [u8; 8] = *b"DYNFDSN3";
 
 /// Name of the in-progress snapshot file (atomically renamed when
 /// complete; a leftover one marks a crash mid-snapshot).
@@ -44,12 +42,10 @@ pub const SNAP_TMP: &str = "snapshot.tmp";
 pub struct SnapshotState {
     /// Batch sequence number the snapshot captures (0 = initial state).
     pub seq: u64,
-    /// The relation, bit-identical to the instance that was saved.
+    /// The relation, equal (`==`) to the instance that was saved.
     pub rel: DynamicRelation,
     /// Positive cover (minimal FDs).
     pub fds: FdTree,
-    /// Negative cover (maximal non-FDs).
-    pub non_fds: FdTree,
     /// §5.2 violation annotations.
     pub annotations: Vec<(Fd, (RecordId, RecordId))>,
 }
@@ -65,7 +61,8 @@ fn parse_snapshot_seq(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-/// Serializes the full engine state at `seq` into a snapshot payload.
+/// Serializes the engine's logical state at `seq` (see the module docs)
+/// into a snapshot payload.
 pub fn encode_snapshot(seq: u64, engine: &DynFd) -> Vec<u8> {
     let rel = engine.relation();
     let schema = rel.schema();
@@ -93,38 +90,21 @@ pub fn encode_snapshot(seq: u64, engine: &DynFd) -> Vec<u8> {
             codec::put_str(&mut out, value);
         }
     }
-    // The record arena in physical slot order: tag 0 = dead slot (its
-    // codes are canonically zero and not serialized), tag 1 = live slot
-    // followed by rid and one code per column. Then the free-list in
-    // stack order (LIFO position is meaningful) and the generation map.
-    let slot_rids = rel.slot_rids();
-    codec::put_u32(&mut out, slot_rids.len() as u32);
-    for (slot, &rid) in slot_rids.iter().enumerate() {
-        if rid == DEAD_RID {
-            out.push(0);
-        } else {
-            out.push(1);
-            codec::put_u64(&mut out, rid.0);
-            for code in rel.row_at_slot(slot as u32).iter() {
-                codec::put_u32(&mut out, code);
-            }
+    // Live records in record-id order: rid, then one code per column.
+    let mut records: Vec<_> = rel.records().collect();
+    records.sort_unstable_by_key(|&(rid, _)| rid);
+    codec::put_u32(&mut out, records.len() as u32);
+    for (rid, row) in records {
+        codec::put_u64(&mut out, rid.0);
+        for code in row.iter() {
+            codec::put_u32(&mut out, code);
         }
     }
-    codec::put_u32(&mut out, rel.free_slots().len() as u32);
-    for &slot in rel.free_slots() {
-        codec::put_u32(&mut out, slot);
-    }
-    for &generation in rel.generations() {
-        codec::put_u32(&mut out, generation);
-    }
-    // Both covers, reusing the established text format.
+    // The positive cover in the established text format; the negative
+    // cover is its inversion and is derived on restore.
     codec::put_str(
         &mut out,
         &cover_io::write_cover(engine.positive_cover(), schema),
-    );
-    codec::put_str(
-        &mut out,
-        &cover_io::write_cover(engine.negative_cover(), schema),
     );
     // Violation annotations.
     let annotations = engine.violation_annotations();
@@ -192,48 +172,21 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<SnapshotState, String> {
         }
         dictionaries.push(dynfd_relation::Dictionary::from_parts(values, capacity));
     }
-    // Arena slot table: 1 byte tag minimum per slot.
-    let slots = r.count(1)?;
-    let mut slot_table: Vec<(Option<RecordId>, Box<[ValueId]>)> = Vec::with_capacity(slots);
-    for slot in 0..slots {
-        match r.u8()? {
-            0 => slot_table.push((None, Vec::new().into_boxed_slice())),
-            1 => {
-                let rid = RecordId(r.u64()?);
-                let mut codes = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    codes.push(r.u32()?);
-                }
-                slot_table.push((Some(rid), codes.into_boxed_slice()));
-            }
-            other => return Err(format!("slot {slot}: unknown occupancy tag {other}")),
+    let count = r.count(8 + 4 * arity)?;
+    let mut records: Vec<(RecordId, Box<[ValueId]>)> = Vec::with_capacity(count);
+    for _ in 0..count {
+        let rid = RecordId(r.u64()?);
+        let mut codes = Vec::with_capacity(arity);
+        for _ in 0..arity {
+            codes.push(r.u32()?);
         }
+        records.push((rid, codes.into_boxed_slice()));
     }
-    let free_len = r.count(4)?;
-    let mut free = Vec::with_capacity(free_len);
-    for _ in 0..free_len {
-        free.push(r.u32()?);
-    }
-    let mut generations = Vec::with_capacity(slots);
-    for _ in 0..slots {
-        generations.push(r.u32()?);
-    }
-    // from_arena_parts revalidates codes, rids, the id counter, and
-    // that the free-list covers the dead slots exactly once.
-    let rel = DynamicRelation::from_arena_parts(
-        schema,
-        null_policy,
-        next_id,
-        dictionaries,
-        slot_table,
-        free,
-        generations,
-    )
-    .map_err(|e| format!("relation: {e}"))?;
+    // from_parts revalidates codes, rids, and the id counter.
+    let rel = DynamicRelation::from_parts(schema, null_policy, next_id, dictionaries, records)
+        .map_err(|e| format!("relation: {e}"))?;
     let fds = cover_io::read_cover(&r.str()?, rel.schema())
         .map_err(|e| format!("positive cover: {e}"))?;
-    let non_fds = cover_io::read_cover(&r.str()?, rel.schema())
-        .map_err(|e| format!("negative cover: {e}"))?;
     let annotation_count = r.count(16)?;
     let mut annotations = Vec::with_capacity(annotation_count);
     for i in 0..annotation_count {
@@ -261,7 +214,6 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<SnapshotState, String> {
         seq,
         rel,
         fds,
-        non_fds,
         annotations,
     })
 }
@@ -433,17 +385,11 @@ mod tests {
     }
 
     fn restore(state: SnapshotState, config: DynFdConfig) -> DynFd {
-        DynFd::from_saved_state(
-            state.rel,
-            state.fds,
-            state.non_fds,
-            &state.annotations,
-            config,
-        )
+        DynFd::from_saved_state(state.rel, state.fds, &state.annotations, config)
     }
 
     #[test]
-    fn snapshot_roundtrip_is_bit_identical() {
+    fn snapshot_roundtrip_restores_identical_state() {
         let engine = churned_engine();
         let payload = encode_snapshot(17, &engine);
         let state = decode_snapshot(&payload).unwrap();

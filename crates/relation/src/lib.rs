@@ -9,9 +9,14 @@
 //!   ([`Dictionary`]);
 //! * **dictionary-compressed records** laid out *columnar*: one
 //!   contiguous `Vec<ValueId>` per attribute, indexed by arena slot. A
-//!   free-list plus generation map ties each surrogate
-//!   [`RecordId`](dynfd_common::RecordId) to its slot, so a validation
-//!   job streams a column instead of chasing one heap allocation per row;
+//!   dense slot map ties each surrogate
+//!   [`RecordId`](dynfd_common::RecordId) to its slot (freed slots are
+//!   reused), so a validation job streams a column instead of chasing
+//!   one heap allocation per row. The layout is bookkeeping only: a
+//!   relation is saved and restored by its logical state, the
+//!   dictionaries plus the records in id order
+//!   ([`DynamicRelation::from_parts`]), and every index is rebuilt from
+//!   those;
 //! * per-column **position list indexes** ([`Pli`]) — for every value
 //!   code, the rid-ordered list of arena slots holding that value, packed
 //!   into a single backing arena (no per-cluster allocations). The
@@ -21,7 +26,7 @@
 //!   first (Section 2 explains why);
 //! * the PLI-based **FD validator** with early termination,
 //!   simultaneous-RHS checking, and the *cluster pruning* hook of
-//!   Section 4.2 ([`validate`]).
+//!   Section 4.2 ([`validate`](mod@validate)).
 //!
 //! A deliberate deviation from the paper, documented in `DESIGN.md`: the
 //! paper replaces globally unique values by `-1` in compressed records.
@@ -54,7 +59,7 @@ pub use parallel::{
 };
 pub use pli::Pli;
 pub use pli_cache::{CacheEffects, CacheStats, CachedPartition, PliCache, PliCacheSnapshot};
-pub use relation::{DynamicRelation, NullPolicy, RowRef, UndoLog, DEAD_RID, NO_SLOT};
+pub use relation::{DynamicRelation, NullPolicy, RowRef, UndoLog};
 pub use rowstore::{validate_rowstore, RowStoreRelation};
 pub use validate::{
     agree_set, validate, validate_cached, validate_fd, validate_with, RhsOutcome,

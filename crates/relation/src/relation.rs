@@ -8,20 +8,21 @@
 //! reverse map `slot_of[rid]` resolves a surrogate id to its slot in
 //! O(1) (record ids are assigned monotonically and never reused, so a
 //! flat vector indexed by the raw id replaces any hash index). Freed
-//! slots go onto a LIFO free-list and are reused by later inserts; a
-//! per-slot generation counter is bumped on every free so stale slot
-//! references are detectable under churn (the `slot-churn` fuzz profile
-//! exercises exactly this).
+//! slots go onto a LIFO free-list and are reused by later inserts (the
+//! `slot-churn` fuzz profile exercises exactly this).
 //!
 //! A validation job therefore streams `columns[attr]` — a flat `u32`
 //! array — instead of dereferencing a boxed code slice per record, which
 //! is what makes validation memory-bandwidth-shaped rather than
 //! pointer-chase-shaped at paper scale (see DESIGN.md §6f).
 //!
-//! The free-list discipline is deterministic: reverse-replaying an
-//! [`UndoLog`] restores not just the logical record set but the exact
-//! physical slot layout, free-list order, and generation counters, so a
-//! rolled-back batch leaves no trace even at the arena level.
+//! The slot layout is private bookkeeping: nothing observable depends
+//! on which slot a record occupies, because PLI clusters are kept
+//! rid-sorted. A relation is therefore persisted and restored by its
+//! logical state alone ([`DynamicRelation::from_parts`]). Rollback still
+//! reverses the layout exactly — reverse-replaying an [`UndoLog`]
+//! restores the slot assignments and the free-list order — since
+//! undoing each mutation in place is the cheapest way back.
 
 use crate::batch::{AppliedBatch, Batch, ChangeOp};
 use crate::dictionary::{Dictionary, ValueId};
@@ -31,10 +32,10 @@ use std::collections::HashSet;
 
 /// Sentinel in `slot_of` for "this record id has no slot" (never
 /// assigned, deleted, or rolled back).
-pub const NO_SLOT: u32 = u32::MAX;
+const NO_SLOT: u32 = u32::MAX;
 
 /// Sentinel in `slot_rids` for a free slot.
-pub const DEAD_RID: RecordId = RecordId(u64::MAX);
+const DEAD_RID: RecordId = RecordId(u64::MAX);
 
 /// How the relation treats null values. Nulls are modelled as empty
 /// strings and compare equal to each other, the convention of FD
@@ -142,10 +143,9 @@ enum UndoOp {
 /// [`DynamicRelation::apply_batch_logged`].
 ///
 /// Replaying the log in reverse ([`DynamicRelation::rollback`]) returns
-/// the relation to a state *physically* identical to the pre-batch
-/// snapshot: columns, slot assignments, free-list order, generation
-/// counters, PLIs, dictionaries (including codes assigned during the
-/// batch, which are truncated away), and the surrogate-id counter.
+/// the relation to its pre-batch state: records, slot assignments,
+/// free-list order, PLIs, dictionaries (including codes assigned during
+/// the batch, which are truncated away), and the surrogate-id counter.
 #[derive(Clone, Debug)]
 pub struct UndoLog {
     ops: Vec<UndoOp>,
@@ -179,7 +179,7 @@ impl UndoLog {
 ///   (code → cluster of arena slots, rid-sorted),
 /// * the **columnar arena** of dictionary-compressed records
 ///   (one `Vec<ValueId>` per attribute, slot-indexed) with its
-///   free-list/generation bookkeeping,
+///   free-list,
 /// * the monotonically increasing surrogate-id counter.
 ///
 /// All structures are updated *incrementally* per change — applying a
@@ -207,8 +207,6 @@ pub struct DynamicRelation {
     slot_of: Vec<u32>,
     /// LIFO free-list of reusable slots.
     free: Vec<u32>,
-    /// Per-slot generation, bumped each time the slot is freed.
-    generations: Vec<u32>,
     /// Number of live records.
     live: usize,
     next_id: RecordId,
@@ -259,7 +257,6 @@ impl DynamicRelation {
             slot_rids: Vec::new(),
             slot_of: Vec::new(),
             free: Vec::new(),
-            generations: Vec::new(),
             live: 0,
             next_id: RecordId(0),
             null_policy: NullPolicy::default(),
@@ -373,11 +370,6 @@ impl DynamicRelation {
         }
     }
 
-    /// Total arena extent in slots (live + free).
-    pub fn arena_len(&self) -> usize {
-        self.slot_rids.len()
-    }
-
     /// Approximate resident bytes of the whole relation: dictionaries,
     /// PLIs, the columnar arena, and the slot bookkeeping vectors. A
     /// monotone-in-footprint estimate for quota accounting (it grows
@@ -389,19 +381,8 @@ impl DynamicRelation {
         let arena = self.columns.len() * self.slot_rids.len() * 4;
         let slots = self.slot_rids.len() * 8 // RecordId
             + self.slot_of.len() * 4
-            + self.free.len() * 4
-            + self.generations.len() * 4;
+            + self.free.len() * 4;
         128 + dict + plis + arena + slots
-    }
-
-    /// The free-list, most recently freed slot last (LIFO order).
-    pub fn free_slots(&self) -> &[u32] {
-        &self.free
-    }
-
-    /// Per-slot generation counters (bumped on each free).
-    pub fn generations(&self) -> &[u32] {
-        &self.generations
     }
 
     /// The compressed record for `rid`, if live, as a columnar view.
@@ -475,7 +456,6 @@ impl DynamicRelation {
         }
         let slot = self.slot_rids.len() as u32;
         self.slot_rids.push(DEAD_RID);
-        self.generations.push(0);
         for col in &mut self.columns {
             col.push(0);
         }
@@ -530,8 +510,8 @@ impl DynamicRelation {
     }
 
     /// Deletes the record `rid` from all structures: its value codes
-    /// locate the PLI clusters to shrink, then the slot is freed (LIFO)
-    /// and its generation bumped.
+    /// locate the PLI clusters to shrink, then the slot is freed (LIFO).
+    /// The freed slot keeps its stale codes until an insert reuses it.
     pub fn delete_record(&mut self, rid: RecordId) -> Result<()> {
         let slot = self.slot_of(rid).ok_or(DynError::UnknownRecord(rid))?;
         // PLIs first: cluster removal binary-searches by rid through
@@ -543,13 +523,6 @@ impl DynamicRelation {
         }
         self.slot_of[rid.raw() as usize] = NO_SLOT;
         self.slot_rids[slot as usize] = DEAD_RID;
-        // Dead slots hold code 0 in every column. This canonical form
-        // makes the physical arena a pure function of the operation
-        // history, so snapshot round-trips compare bit-identical.
-        for column in &mut self.columns {
-            column[slot as usize] = 0;
-        }
-        self.generations[slot as usize] += 1;
         self.free.push(slot);
         self.live -= 1;
         Ok(())
@@ -673,8 +646,8 @@ impl DynamicRelation {
     }
 
     /// Reverse-replays the undo log of a batch, restoring the relation to
-    /// a state structurally equal (`==`) to — and physically identical
-    /// with — the pre-batch snapshot.
+    /// a state equal (`==`) to the pre-batch one, with the same slot
+    /// assignments and free-list order.
     ///
     /// Dictionary codes assigned while applying the batch are exactly the
     /// tail `values[len..]` of each dictionary (dictionaries are
@@ -704,19 +677,13 @@ impl DynamicRelation {
                         // current tail — shrink instead of freeing.
                         debug_assert_eq!(slot as usize, self.slot_rids.len() - 1);
                         self.slot_rids.pop();
-                        self.generations.pop();
                         for col in &mut self.columns {
                             col.pop();
                         }
                     } else {
                         // The insert popped this slot off the free-list;
-                        // push it back. No generation bump: the insert
-                        // did not bump it either. Re-zero the columns to
-                        // keep the canonical dead-slot form.
+                        // push it back.
                         self.slot_rids[slot as usize] = DEAD_RID;
-                        for col in &mut self.columns {
-                            col[slot as usize] = 0;
-                        }
                         self.free.push(slot);
                     }
                 }
@@ -726,7 +693,6 @@ impl DynamicRelation {
                         .pop()
                         .expect("delete pushed the slot this undo re-occupies");
                     self.slot_rids[slot as usize] = rid;
-                    self.generations[slot as usize] -= 1;
                     for (attr, &code) in codes.iter().enumerate() {
                         self.columns[attr][slot as usize] = code;
                         self.plis[attr].restore(code, slot, rid, &self.slot_rids);
@@ -833,10 +799,9 @@ impl DynamicRelation {
     /// in ascending record-id order with an empty free-list; PLIs are
     /// rebuilt by inserting in that same order, which reproduces the
     /// exact cluster member order incremental maintenance would hold
-    /// (rid-sorted, emptied clusters absent). The result is logically
-    /// equal (`==`) to the relation the parts were read from; for a
-    /// *physically* identical restore use
-    /// [`DynamicRelation::from_arena_parts`].
+    /// (rid-sorted, emptied clusters absent). The result is equal (`==`)
+    /// to the relation the parts were read from; this is the restore
+    /// path of snapshots (`dynfd-persist`).
     ///
     /// # Errors
     ///
@@ -870,7 +835,6 @@ impl DynamicRelation {
             slot_rids: Vec::with_capacity(records.len()),
             slot_of: Vec::new(),
             free: Vec::new(),
-            generations: Vec::new(),
             live: 0,
             next_id,
             null_policy,
@@ -913,126 +877,6 @@ impl DynamicRelation {
         Ok(rel)
     }
 
-    /// Reconstructs a relation from its *physical* arena parts, as
-    /// serialized by the persist layer: the slot table (`None` entries
-    /// are free slots), per-live-slot code rows, the free-list in LIFO
-    /// order, and per-slot generations. The restored relation is
-    /// physically identical to the one the parts were read from — same
-    /// slot layout, same free-list order, same generations — so post-
-    /// recovery slot assignment replays exactly like the pre-crash
-    /// engine's would have.
-    ///
-    /// # Errors
-    ///
-    /// [`DynError::Parse`] on any inconsistency: mismatched table
-    /// lengths, a free-list that does not cover the free slots exactly
-    /// once, duplicate or out-of-range record ids, or value codes no
-    /// dictionary entry covers.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_arena_parts(
-        schema: Schema,
-        null_policy: NullPolicy,
-        next_id: RecordId,
-        dictionaries: Vec<Dictionary>,
-        slot_table: Vec<(Option<RecordId>, Box<[ValueId]>)>,
-        free: Vec<u32>,
-        generations: Vec<u32>,
-    ) -> Result<Self> {
-        let arity = schema.arity();
-        if dictionaries.len() != arity {
-            return Err(DynError::Parse(format!(
-                "snapshot has {} dictionaries for {arity} columns",
-                dictionaries.len()
-            )));
-        }
-        let slots = slot_table.len();
-        if generations.len() != slots {
-            return Err(DynError::Parse(format!(
-                "snapshot has {} generations for {slots} slots",
-                generations.len()
-            )));
-        }
-        let mut rel = DynamicRelation {
-            schema,
-            dictionaries,
-            plis: (0..arity).map(|_| Pli::new()).collect(),
-            columns: (0..arity).map(|_| vec![0; slots]).collect(),
-            slot_rids: vec![DEAD_RID; slots],
-            slot_of: Vec::new(),
-            free: Vec::new(),
-            generations,
-            live: 0,
-            next_id,
-            null_policy,
-        };
-        let mut free_seen = vec![false; slots];
-        for &slot in &free {
-            let s = slot as usize;
-            if s >= slots || slot_table[s].0.is_some() || free_seen[s] {
-                return Err(DynError::Parse(format!(
-                    "free-list entry {slot} is out of range, occupied, or duplicated"
-                )));
-            }
-            free_seen[s] = true;
-        }
-        let mut order: Vec<(RecordId, u32)> = Vec::with_capacity(slots);
-        for (slot, (rid, codes)) in slot_table.iter().enumerate() {
-            match rid {
-                None => {
-                    if !free_seen[slot] {
-                        return Err(DynError::Parse(format!(
-                            "free slot {slot} missing from the free-list"
-                        )));
-                    }
-                }
-                Some(rid) => {
-                    let rid = *rid;
-                    if codes.len() != arity {
-                        return Err(DynError::Parse(format!(
-                            "record {rid} has {} codes for {arity} columns",
-                            codes.len()
-                        )));
-                    }
-                    if rid >= next_id {
-                        return Err(DynError::Parse(format!(
-                            "record {rid} is at or past the id counter {next_id}"
-                        )));
-                    }
-                    if rel.contains(rid) {
-                        return Err(DynError::Parse(format!("duplicate record id {rid}")));
-                    }
-                    for (attr, &code) in codes.iter().enumerate() {
-                        if (code as usize) >= rel.dictionaries[attr].len() {
-                            return Err(DynError::Parse(format!(
-                                "record {rid} column {attr} references unassigned code {code}"
-                            )));
-                        }
-                        rel.columns[attr][slot] = code;
-                    }
-                    rel.slot_rids[slot] = rid;
-                    let idx = rid.raw() as usize;
-                    if rel.slot_of.len() <= idx {
-                        rel.slot_of.resize(idx + 1, NO_SLOT);
-                    }
-                    rel.slot_of[idx] = slot as u32;
-                    rel.live += 1;
-                    order.push((rid, slot as u32));
-                }
-            }
-        }
-        rel.free = free;
-        // PLIs are rebuilt in ascending record-id order — the member
-        // order incremental maintenance keeps clusters in.
-        order.sort_unstable();
-        for (rid, slot) in order {
-            for attr in 0..arity {
-                let code = rel.columns[attr][slot as usize];
-                rel.plis[attr].insert(code, slot, rid, &rel.slot_rids);
-            }
-        }
-        Ok(rel)
-    }
-
     /// Rebuilds PLIs and dictionaries from the live records, for
     /// validating incremental maintenance in tests. O(n·m); never used on
     /// the hot path.
@@ -1061,9 +905,6 @@ impl DynamicRelation {
         let mut live = 0usize;
         for (slot, &rid) in self.slot_rids.iter().enumerate() {
             if rid == DEAD_RID {
-                if self.columns.iter().any(|c| c[slot] != 0) {
-                    return fail(format!("dead slot {slot} holds non-zero codes"));
-                }
                 continue;
             }
             live += 1;
@@ -1215,16 +1056,16 @@ mod tests {
     #[test]
     fn slots_are_reused_lifo() {
         let mut rel = paper_relation();
-        let old_slot = rel.slot_of(RecordId(2)).unwrap();
-        let gen_before = rel.generations()[old_slot as usize];
+        let freed_first = rel.slot_of(RecordId(1)).unwrap();
+        let freed_last = rel.slot_of(RecordId(2)).unwrap();
+        rel.delete_record(RecordId(1)).unwrap();
         rel.delete_record(RecordId(2)).unwrap();
-        assert_eq!(rel.free_slots(), &[old_slot]);
-        assert_eq!(rel.generations()[old_slot as usize], gen_before + 1);
-        // The next insert reuses the freed slot.
-        let rid = rel.insert_row(&["P", "Q", "R", "S"]).unwrap();
-        assert_eq!(rel.slot_of(rid), Some(old_slot));
-        assert!(rel.free_slots().is_empty());
-        assert_eq!(rel.arena_len(), 4, "arena did not grow");
+        // Inserts reuse the freed slots, most recently freed first.
+        let a = rel.insert_row(&["P", "Q", "R", "S"]).unwrap();
+        let b = rel.insert_row(&["T", "U", "V", "W"]).unwrap();
+        assert_eq!(rel.slot_of(a), Some(freed_last));
+        assert_eq!(rel.slot_of(b), Some(freed_first));
+        assert_eq!(rel.slot_rids().len(), 4, "arena did not grow");
         rel.check_arena_invariants().unwrap();
     }
 
@@ -1374,17 +1215,19 @@ mod tests {
         assert_ne!(rel, snapshot);
         rel.rollback(undo);
         assert_eq!(rel, snapshot);
-        // Physical restoration, not just logical equality.
-        assert_eq!(rel.free_slots(), snapshot.free_slots());
+        // The slot layout comes back too, free-list order included: the
+        // same inserts land in the same slots on both.
         assert_eq!(rel.slot_rids(), snapshot.slot_rids());
-        assert_eq!(rel.generations(), snapshot.generations());
-        assert_eq!(rel.arena_len(), snapshot.arena_len());
         rel.check_arena_invariants().unwrap();
-        // The rolled-back relation is fully usable afterwards.
         let mut again = Batch::new();
-        again.insert(vec!["P", "Q", "R", "S"]);
+        again
+            .insert(vec!["P", "Q", "R", "S"])
+            .insert(vec!["T", "U", "V", "W"]);
         let applied = rel.apply_batch(&again).unwrap();
-        assert_eq!(applied.inserted, vec![RecordId(4)]);
+        assert_eq!(applied.inserted, vec![RecordId(4), RecordId(5)]);
+        let mut expected = snapshot;
+        expected.apply_batch(&again).unwrap();
+        assert_eq!(rel.slot_rids(), expected.slot_rids());
     }
 
     #[test]
@@ -1473,48 +1316,6 @@ mod tests {
     }
 
     #[test]
-    fn from_arena_parts_restores_physical_layout() {
-        let rel = churned();
-        let dicts: Vec<Dictionary> = (0..rel.arity())
-            .map(|a| {
-                Dictionary::from_parts(
-                    rel.dictionary(a).value_strings(),
-                    rel.dictionary(a).capacity(),
-                )
-            })
-            .collect();
-        let slot_table: Vec<(Option<RecordId>, Box<[ValueId]>)> = (0..rel.arena_len())
-            .map(|slot| {
-                let rid = rel.slot_rids()[slot];
-                if rid == DEAD_RID {
-                    (None, Vec::new().into_boxed_slice())
-                } else {
-                    (
-                        Some(rid),
-                        rel.row_at_slot(slot as u32).to_vec().into_boxed_slice(),
-                    )
-                }
-            })
-            .collect();
-        let restored = DynamicRelation::from_arena_parts(
-            rel.schema().clone(),
-            rel.null_policy(),
-            rel.next_id(),
-            dicts,
-            slot_table,
-            rel.free_slots().to_vec(),
-            rel.generations().to_vec(),
-        )
-        .unwrap();
-        assert_eq!(restored, rel);
-        assert_eq!(restored.slot_rids(), rel.slot_rids());
-        assert_eq!(restored.free_slots(), rel.free_slots());
-        assert_eq!(restored.generations(), rel.generations());
-        assert_eq!(restored.columns(), rel.columns());
-        restored.check_arena_invariants().unwrap();
-    }
-
-    #[test]
     fn from_parts_rejects_inconsistent_parts() {
         let rel = paper_relation();
         let dicts = |r: &DynamicRelation| -> Vec<Dictionary> {
@@ -1569,45 +1370,6 @@ mod tests {
                 rel.next_id(),
                 dicts(&rel),
                 bad
-            ),
-            Err(DynError::Parse(_))
-        ));
-    }
-
-    #[test]
-    fn from_arena_parts_rejects_bad_free_list() {
-        let rel = churned();
-        let dicts: Vec<Dictionary> = (0..rel.arity())
-            .map(|a| {
-                Dictionary::from_parts(
-                    rel.dictionary(a).value_strings(),
-                    rel.dictionary(a).capacity(),
-                )
-            })
-            .collect();
-        let slot_table: Vec<(Option<RecordId>, Box<[ValueId]>)> = (0..rel.arena_len())
-            .map(|slot| {
-                let rid = rel.slot_rids()[slot];
-                if rid == DEAD_RID {
-                    (None, Vec::new().into_boxed_slice())
-                } else {
-                    (
-                        Some(rid),
-                        rel.row_at_slot(slot as u32).to_vec().into_boxed_slice(),
-                    )
-                }
-            })
-            .collect();
-        // Free-list missing an entry the slot table marks free.
-        assert!(matches!(
-            DynamicRelation::from_arena_parts(
-                rel.schema().clone(),
-                rel.null_policy(),
-                rel.next_id(),
-                dicts,
-                slot_table,
-                Vec::new(),
-                rel.generations().to_vec(),
             ),
             Err(DynError::Parse(_))
         ));

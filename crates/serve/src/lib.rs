@@ -75,8 +75,8 @@ pub const CODE_SLOW_CLIENT: u32 = 21;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QuotaKind {
     /// Resident bytes: relation arena + dictionaries + PLIs + the
-    /// PLI-intersection cache, per [`DynFd::resident_bytes`]
-    /// (dynfd_core::DynFd::resident_bytes).
+    /// PLI-intersection cache, per
+    /// [`DynFd::resident_bytes`](dynfd_core::DynFd::resident_bytes).
     Bytes,
     /// Cumulative batch-apply CPU (wall) time.
     Cpu,

@@ -5,7 +5,7 @@
 //! accept loop; every connection gets its own supervision thread pair:
 //!
 //! * a **read thread** running the same
-//!   [`Dispatcher`](crate::session) loop as the stdin transport
+//!   `Dispatcher` loop as the stdin transport
 //!   (shared protocol, shared guards) with the socket's read deadline
 //!   armed to [`TransportConfig::tick`] so the stop flag and the idle
 //!   budget are polled even on a silent peer;

@@ -1,4 +1,4 @@
-//! FDEP: row-based FD discovery [6].
+//! FDEP: row-based FD discovery \[6\].
 //!
 //! FDEP compares **all pairs of records**, computes each pair's agree
 //! set, and accumulates the *negative cover*: for an agree set `X`,

@@ -1,4 +1,4 @@
-//! HyFD: hybrid FD discovery [13].
+//! HyFD: hybrid FD discovery \[13\].
 //!
 //! HyFD interleaves two discovery principles that are individually
 //! incomplete but complementary (paper Section 7.1):
@@ -27,7 +27,7 @@ pub use sampler::Sampler;
 use dynfd_lattice::{induce_from_negative_cover, FdTree};
 use dynfd_relation::DynamicRelation;
 
-/// Tuning knobs for HyFD. The defaults follow the paper ([13] and the
+/// Tuning knobs for HyFD. The defaults follow the paper (\[13\] and the
 /// DynFD paper's hard-coded 10 % switching threshold).
 #[derive(Clone, Copy, Debug)]
 pub struct HyFdConfig {

@@ -2,18 +2,18 @@
 //!
 //! Static FD discovery algorithms built on the same substrate as DynFD:
 //!
-//! * [`hyfd`] — a from-scratch Rust implementation of HyFD [13], the
+//! * [`hyfd`] — a from-scratch Rust implementation of HyFD \[13\], the
 //!   hybrid (row + column) state of the art. DynFD uses it to bootstrap
 //!   its covers from an initial relation (paper Section 2), and the
 //!   competitive evaluation (Section 6.4, Figure 7) re-runs it per batch
 //!   as the baseline.
-//! * [`tane`] — a TANE-style level-wise lattice traversal [8] with
+//! * [`tane`] — a TANE-style level-wise lattice traversal \[8\] with
 //!   minimality pruning, the canonical column-based algorithm.
-//! * [`fdep`] — FDEP [6], the canonical row-based algorithm: all record
+//! * [`fdep`] — FDEP \[6\], the canonical row-based algorithm: all record
 //!   pairs → maximal negative cover → dependency induction.
 //!
 //! All three return the complete set of minimal, non-trivial FDs as an
-//! [`FdTree`](dynfd_lattice::FdTree). Three independent implementations
+//! [`FdTree`]. Three independent implementations
 //! exist so the test suite can cross-validate them (and DynFD) against
 //! each other on random relations — the strongest correctness oracle
 //! available without the original authors' code.

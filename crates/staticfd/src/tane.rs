@@ -1,4 +1,4 @@
-//! TANE-style level-wise FD discovery [8].
+//! TANE-style level-wise FD discovery \[8\].
 //!
 //! The search space is the powerset lattice of attribute sets, traversed
 //! bottom-up level by level (paper Section 7.1). For every LHS at the

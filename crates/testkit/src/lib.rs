@@ -27,8 +27,8 @@
 //!   on retry, and silent cover corruption the degraded-mode rebuild
 //!   must repair before the oracles look;
 //! * [`WalFault`] / [`check_trace_durable`] — **durable-engine crash
-//!   fuzzing**: replay a trace through a `dynfd-persist` [`FdEngine`]
-//!   (dynfd_persist::FdEngine), damage its WAL at a seeded point
+//!   fuzzing**: replay a trace through a `dynfd-persist`
+//!   [`FdEngine`](dynfd_persist::FdEngine), damage its WAL at a seeded point
 //!   (torn tail, bit flip, crash-between-log-and-apply), recover, and
 //!   verify the recovered state is bit-identical to a fresh replay of
 //!   the surviving batch prefix — with a `crash_child` binary and a

@@ -292,10 +292,10 @@ pub fn check_trace(trace: &Trace, opts: &RunnerOptions) -> Result<TraceStats, Bo
             stats.cover_rebuilds += result.metrics.cover_rebuilds;
             stats.batches += 1;
             // Arena bookkeeping check: slot↔rid maps, the free-list
-            // partition, the canonical dead-slot form, and rid-sorted
-            // PLI clusters must survive every batch. Cheap at fuzz
-            // sizes, and the only check that sees the *physical* layout
-            // (slot-churn traces exist to hammer this).
+            // partition, and rid-sorted PLI clusters must survive every
+            // batch. Cheap at fuzz sizes, and the only check that sees
+            // the *physical* layout (slot-churn traces exist to hammer
+            // this).
             if let Err(e) = dynfd.relation().check_arena_invariants() {
                 return Err(Box::new(TraceFailure {
                     check: format!("arena-invariants:{e}"),

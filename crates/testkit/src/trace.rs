@@ -44,8 +44,8 @@ pub enum TraceProfile {
     /// Heavy delete/reinsert interleaving over a modest relation: waves
     /// of deletes immediately followed by waves of inserts, so arena
     /// slots are freed and re-occupied constantly. Stresses the columnar
-    /// store's free-list reuse, generation bookkeeping, and the
-    /// rid-sorted cluster order under slot recycling.
+    /// store's free-list reuse and the rid-sorted cluster order under
+    /// slot recycling.
     SlotChurn,
 }
 
@@ -276,7 +276,7 @@ impl Trace {
             // Alternating delete and insert waves: every delete wave
             // pushes slots onto the free-list, the following insert wave
             // pops them back off (LIFO), so the same arena slots are
-            // recycled across many generations within one trace.
+            // recycled many times within one trace.
             let mut deleting = true;
             while ops.len() < op_count {
                 let wave = rng.gen_range(2usize..=4).min(op_count - ops.len());

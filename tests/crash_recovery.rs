@@ -11,6 +11,10 @@
 //! * a *rejected* batch is durably rewound out of the WAL: recovery
 //!   never replays it, even when the crash lands between the rejected
 //!   frame's fsync and the rewind;
+//! * snapshots hold the logical state, not the arena's slot layout, and
+//!   nothing depends on the layout: with the PLI cache off, a recovered
+//!   engine equals a fresh replay including its violation annotations,
+//!   at the recovery point and after every later batch;
 //! * corruption surfaces as typed errors with the documented CLI exit
 //!   codes, never as a panic.
 //!
@@ -160,6 +164,50 @@ fn check_snapshot_tmp_leftover(seed: u64, case: u64, garbage_len: usize) {
         .expect("valid annotations");
 }
 
+/// Recovery restores the logical state — records in id order, the
+/// positive cover, the annotations — so the recovered arena's slots
+/// differ from the crashed engine's whenever deletes left free slots.
+/// Nothing observable may depend on that layout. With the PLI cache off
+/// (the only other source of witness-pair differences) the recovered
+/// engine must equal a fresh in-memory replay in full
+/// (`state_divergence`, annotations included) at the cut and after
+/// every later batch.
+fn check_layout_independent_recovery(seed: u64, case: u64, cut_pick: usize) {
+    let trace = Trace::for_case(seed, case);
+    let batches = trace.to_batches();
+    let config = DynFdConfig {
+        pli_cache_bytes: 0,
+        snapshot_every: 2,
+        ..DynFdConfig::default()
+    };
+    let cut = cut_pick % (batches.len() + 1);
+    let scratch = Scratch::new(&format!("layout-{seed}-{case}-{cut}"));
+
+    let mut engine =
+        FdEngine::create(&scratch.0, trace.to_relation(), config).expect("engine creation");
+    for batch in &batches[..cut] {
+        engine.apply_batch(batch).expect("valid trace batch");
+    }
+    drop(engine);
+
+    let (mut recovered, _) = FdEngine::recover_with_config(&scratch.0, config).expect("recovery");
+    let mut oracle = fresh_prefix(&trace, cut, config);
+    assert_eq!(
+        oracle.state_divergence(recovered.dynfd()),
+        None,
+        "at the cut after {cut} batches"
+    );
+    for (i, batch) in batches.iter().enumerate().skip(cut) {
+        oracle.apply_batch(batch).expect("valid trace batch");
+        recovered.apply_batch(batch).expect("valid trace batch");
+        assert_eq!(
+            oracle.state_divergence(recovered.dynfd()),
+            None,
+            "after batch {i} (cut {cut})"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -195,6 +243,16 @@ proptest! {
         garbage_len in 1usize..512,
     ) {
         check_snapshot_tmp_leftover(seed, case, garbage_len);
+    }
+
+    // `case` spans all six trace profiles, slot-churn included.
+    #[test]
+    fn recovery_is_layout_independent(
+        seed in 0u64..300,
+        case in 0u64..6,
+        cut_pick in 0usize..64,
+    ) {
+        check_layout_independent_recovery(seed, case, cut_pick);
     }
 }
 
