@@ -272,8 +272,9 @@ impl DynFd {
         let cache_stats_before = self.pli_cache.stats();
         if self.cache_enabled() {
             self.pli_cache.set_budget(self.effective_cache_budget());
+            let deleted: Vec<_> = undo.deleted_rows().collect();
             self.pli_cache
-                .apply_batch(&self.rel, &applied.deleted, &applied.inserted);
+                .apply_batch(&self.rel, &deleted, &applied.inserted);
         } else if !self.pli_cache.is_empty() {
             self.pli_cache.clear();
         }

@@ -8,7 +8,7 @@ use crate::{
 };
 use dynfd_common::{AttrSet, Fd, RecordId, Schema};
 use dynfd_lattice::FdTree;
-use dynfd_relation::{Batch, DynamicRelation};
+use dynfd_relation::{agree_set, Batch, DynamicRelation};
 
 fn s(attrs: &[usize]) -> AttrSet {
     attrs.iter().copied().collect()
@@ -523,6 +523,28 @@ fn naive_search_runs_exactly_one_round_per_trigger() {
         dynfd.positive_cover(),
         &dynfd_static::tane::discover(dynfd.relation())
     );
+}
+
+#[test]
+fn reapplying_a_witness_agree_set_is_a_no_op() {
+    // The violation search applies each distinct agree set once per
+    // search. That is exact only because, on a frozen relation, a second
+    // application of an agree set changes nothing — not even with
+    // another pair that has the same agree set.
+    let mut dynfd = DynFd::new(paper_relation(), DynFdConfig::default());
+    let rid = dynfd
+        .rel
+        .insert_row(&["Max", "Gray", "99999", "Potsdam"])
+        .unwrap();
+    let agree = s(&[0, 3]);
+    for partner in [RecordId(0), RecordId(1)] {
+        assert_eq!(agree_set(&dynfd.rel, partner, rid), Some(agree));
+    }
+    assert!(dynfd.apply_non_fd_witness(agree, (RecordId(0), rid)));
+    let once = dynfd.clone();
+    assert!(!dynfd.apply_non_fd_witness(agree, (RecordId(0), rid)));
+    assert!(!dynfd.apply_non_fd_witness(agree, (RecordId(1), rid)));
+    assert!(dynfd.state_eq(&once), "{:?}", dynfd.state_divergence(&once));
 }
 
 #[test]

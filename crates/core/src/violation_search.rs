@@ -12,13 +12,25 @@
 //!
 //! The §6.5 baseline keeps a *naive* variant — window 1 only — because
 //! dropping the violation search entirely cripples the algorithm.
+//!
+//! Many witness pairs share an agree set (a burst batch yields thousands
+//! of pairs over a few dozen sets), and each distinct set is applied
+//! only once per search, with its first pair in (cluster,
+//! window-position) order. This is exact: the relation is frozen during
+//! the search and the only cover changes are witness applications, so
+//! once an agree set `X` has been applied the positive cover holds no
+//! `Z -> y` with `Z ⊆ X`, `y ∉ X`, and the negative cover holds `X -> y`
+//! or a specialization of it for every such `y`. A re-application
+//! would evict nothing, add nothing, attach no annotation, and count as
+//! nothing learned, so skipping it leaves the covers, the §5.2
+//! annotations, `comparisons` and the yield cut-off unchanged.
 
 use crate::config::{SearchMode, INEFFICIENCY_THRESHOLD};
 use crate::errors::{DynFdError, DynFdResult};
 use crate::{BatchMetrics, DynFd};
 use dynfd_common::{AttrSet, RecordId};
 use dynfd_relation::{agree_set, par_map};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// One cluster's window-scan output: pair comparisons performed and the
 /// non-trivial agree-set witnesses found, in window-position order.
@@ -118,6 +130,8 @@ impl DynFd {
             SearchMode::Progressive => usize::MAX,
         };
 
+        // Agree sets already applied in this search (module docs).
+        let mut applied: HashSet<AttrSet> = HashSet::new();
         let mut dist = 1usize;
         loop {
             // The window scan splits into a read-only half (pair
@@ -162,7 +176,7 @@ impl DynFd {
                 }
                 comparisons += cluster_comparisons;
                 for (agree, a, b) in witnesses {
-                    if self.apply_non_fd_witness(agree, (a, b)) {
+                    if applied.insert(agree) && self.apply_non_fd_witness(agree, (a, b)) {
                         learned += 1;
                     }
                 }

@@ -69,9 +69,9 @@ impl Dictionary {
     }
 
     /// Whether encoding `value` would require a fresh code that the
-    /// capacity does not cover.
+    /// capacity does not cover. Only a full dictionary hashes `value`.
     pub fn would_overflow(&self, value: &str) -> bool {
-        !self.codes.contains_key(value) && self.values.len() >= self.capacity
+        self.values.len() >= self.capacity && !self.codes.contains_key(value)
     }
 
     /// Undoes every code assigned at or after `len` (rollback of a

@@ -81,11 +81,16 @@ pub struct Pli {
     free_ranges: Vec<Vec<u32>>,
     /// Number of slots across all clusters.
     entries: usize,
-    /// Size of the largest cluster, maintained exactly (recomputed when
-    /// a removal shrinks a maximal cluster). The validator's pivot
-    /// heuristic reads this in O(1): the partition with the smallest
-    /// maximal cluster is the most refined one and gives the cheapest
-    /// group tables.
+    /// Cluster-length histogram: `len_counts[l]` clusters hold `l`
+    /// members (index 0 unused). It keeps `max_len` exact in O(1): a
+    /// removal that empties the last cluster of the maximal length
+    /// leaves the shrunk cluster one shorter, so the maximum drops by
+    /// exactly one.
+    len_counts: Vec<u32>,
+    /// Size of the largest cluster, maintained exactly through the
+    /// histogram. The validator's pivot heuristic reads this in O(1):
+    /// the partition with the smallest maximal cluster is the most
+    /// refined one and gives the cheapest group tables.
     max_len: usize,
 }
 
@@ -141,6 +146,27 @@ impl Pli {
         }
     }
 
+    /// Moves one cluster from length `from` to `to` in the histogram
+    /// (0 on either side means "no cluster") and keeps `max_len` exact:
+    /// growth can only raise the maximum to `to`, and a shrink of the
+    /// last maximal cluster leaves the maximum at `from - 1`.
+    fn record_len_change(&mut self, from: usize, to: usize) {
+        if from > 0 {
+            self.len_counts[from] -= 1;
+        }
+        if to > 0 {
+            if self.len_counts.len() <= to {
+                self.len_counts.resize(to + 1, 0);
+            }
+            self.len_counts[to] += 1;
+        }
+        if to > self.max_len {
+            self.max_len = to;
+        } else if from == self.max_len && self.len_counts[from] == 0 {
+            self.max_len = from - 1;
+        }
+    }
+
     /// Creates a fresh singleton cluster for `value`.
     fn new_cluster(&mut self, value: ValueId, slot: u32) {
         let start = self.alloc_range(0);
@@ -156,6 +182,7 @@ impl Pli {
             self.heads.resize(value as usize + 1, NONE);
         }
         self.heads[value as usize] = idx;
+        self.record_len_change(0, 1);
     }
 
     /// Drops the (emptied) cluster `idx`, recycling its range and
@@ -194,10 +221,10 @@ impl Pli {
                 let m = &mut self.meta[idx];
                 self.data[(m.start + m.len) as usize] = slot;
                 m.len += 1;
-                self.max_len = self.max_len.max(m.len as usize);
+                let len = m.len as usize;
+                self.record_len_change(len - 1, len);
             }
         }
-        self.max_len = self.max_len.max(1);
         self.entries += 1;
     }
 
@@ -210,7 +237,6 @@ impl Pli {
     pub fn restore(&mut self, value: ValueId, slot: u32, rid: RecordId, slot_rids: &[RecordId]) {
         let Some(idx) = self.head(value) else {
             self.new_cluster(value, slot);
-            self.max_len = self.max_len.max(1);
             self.entries += 1;
             return;
         };
@@ -228,7 +254,8 @@ impl Pli {
             .copy_within(start + pos..start + m.len as usize, start + pos + 1);
         self.data[start + pos] = slot;
         m.len += 1;
-        self.max_len = self.max_len.max(m.len as usize);
+        let len = m.len as usize;
+        self.record_len_change(len - 1, len);
         self.entries += 1;
     }
 
@@ -255,20 +282,15 @@ impl Pli {
             return false;
         };
         debug_assert_eq!(range[pos], slot, "slot map and cluster disagree for {rid}");
-        let was_max = m.len as usize == self.max_len;
         let start = m.start as usize;
         self.data
             .copy_within(start + pos + 1..start + m.len as usize, start + pos);
         self.meta[idx].len -= 1;
         self.entries -= 1;
-        if self.meta[idx].len == 0 {
+        let len = self.meta[idx].len as usize;
+        self.record_len_change(len + 1, len);
+        if len == 0 {
             self.drop_cluster(idx);
-        }
-        if was_max {
-            // The shrunk cluster may no longer be maximal; recompute so
-            // the field stays exact. O(#clusters), only on the rare
-            // shrink-from-max path.
-            self.max_len = self.meta.iter().map(|m| m.len as usize).max().unwrap_or(0);
         }
         true
     }
@@ -339,12 +361,13 @@ impl Pli {
     }
 
     /// Approximate resident bytes of this PLI: head table, cluster
-    /// descriptors, and the backing arena (free ranges included — they
-    /// are allocated memory). A monotone-in-footprint estimate for quota
-    /// accounting, not an exact allocator number.
+    /// descriptors, length histogram, and the backing arena (free ranges
+    /// included — they are allocated memory). A monotone-in-footprint
+    /// estimate for quota accounting, not an exact allocator number.
     pub fn approx_bytes(&self) -> usize {
         64 + self.heads.len() * 4
             + self.meta.len() * std::mem::size_of::<ClusterMeta>()
+            + self.len_counts.len() * 4
             + self.data.len() * 4
             + self
                 .free_ranges

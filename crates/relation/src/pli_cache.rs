@@ -16,20 +16,26 @@
 //! * Two value codes pack exactly into one `u64` — the same packed
 //!   cluster-signature scheme as the validator's
 //!   [`ValidatorScratch`](crate::ValidatorScratch) group maps — so
-//!   cluster membership is exact (codes, not hashes) and patching is
-//!   O(1) per touched record.
+//!   cluster membership is exact (codes, not hashes) and a record's
+//!   group is found with one signature-map probe.
 //!
 //! # Maintenance
 //!
 //! Entries are **patched in place** per batch: a deleted record is
 //! removed from its cluster (clusters demote to singletons at size 1),
 //! an inserted record joins the cluster of its signature (singletons
-//! promote to clusters at size 2). Only when a record referenced by the
-//! patch cannot be resolved against the relation — which indicates the
-//! entry and the relation have diverged, e.g. after an external rebuild
-//! — is the entry **invalidated** instead. A rolled-back batch clears
-//! the whole cache: entries were already patched to the state the
-//! rollback threw away.
+//! promote to clusters at size 2). A deleted record is no longer in the
+//! relation, so its signature comes from the codes the batch's
+//! [`UndoLog`](crate::UndoLog) kept for it
+//! ([`UndoLog::deleted_rows`](crate::UndoLog::deleted_rows)); the
+//! largest-cluster size is recomputed at most once per entry per patch,
+//! after the deletes. Only when a record referenced by the patch cannot
+//! be resolved — a deleted record the entry does not hold, or an
+//! inserted one the relation does not — which indicates the entry and
+//! the relation have diverged, e.g. after an external rebuild, is the
+//! entry **invalidated** instead. A rolled-back batch clears the whole
+//! cache: entries were already patched to the state the rollback threw
+//! away.
 //!
 //! # Sharing and determinism
 //!
@@ -49,18 +55,30 @@
 //! evicted least-recently-used first; ties break on the key's total
 //! order so eviction is deterministic.
 
+use crate::dictionary::ValueId;
 use crate::relation::DynamicRelation;
 use dynfd_common::{AttrSet, RecordId};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Where the records of one signature live in a [`CachedPartition`].
+#[derive(Clone, Copy, Debug)]
+enum Group {
+    /// A non-singleton cluster: its slot in `clusters`.
+    Cluster(u32),
+    /// The one record carrying the signature.
+    Single(RecordId),
+}
 
 /// One memoized two-attribute intersected partition.
 ///
 /// Holds every live record of the relation at build time, split into
 /// non-singleton *clusters* (records sharing both value codes) and
-/// *singletons*. The packed `u64` signature — code of the smaller
-/// attribute in the high half — indexes both, so per-record patches are
-/// O(log cluster) without touching the relation's PLIs.
+/// *singletons*. One map from the packed `u64` signature — code of the
+/// smaller attribute in the high half — to the signature's cluster or
+/// single record indexes both, so a per-record patch is one map probe
+/// plus an O(log cluster) search, without touching the relation's PLIs.
 #[derive(Clone, Debug)]
 pub struct CachedPartition {
     /// Smaller attribute of the key (high half of the signature).
@@ -70,13 +88,10 @@ pub struct CachedPartition {
     /// Non-singleton clusters with their signature, in deterministic
     /// build/creation order; members sorted ascending.
     clusters: Vec<(u64, Vec<RecordId>)>,
-    /// Signature → slot in `clusters`.
-    index: HashMap<u64, u32>,
-    /// Signature → the single record carrying it.
-    singletons: HashMap<u64, RecordId>,
-    /// Record → its signature, for patching deletes without the (already
-    /// removed) record's values.
-    member_sig: HashMap<RecordId, u64>,
+    /// Signature → its cluster or its single record.
+    groups: HashMap<u64, Group>,
+    /// Total records tracked (clustered + singleton).
+    members: usize,
     /// Size of the largest cluster, maintained exactly.
     max_len: usize,
 }
@@ -98,9 +113,8 @@ impl CachedPartition {
             a,
             b,
             clusters: Vec::new(),
-            index: HashMap::new(),
-            singletons: HashMap::new(),
-            member_sig: HashMap::new(),
+            groups: HashMap::new(),
+            members: 0,
             max_len: 0,
         };
         let col_b = rel.column(b);
@@ -137,12 +151,12 @@ impl CachedPartition {
 
     /// Number of records that are alone in their cluster.
     pub fn singleton_count(&self) -> usize {
-        self.singletons.len()
+        self.groups.len() - self.clusters.len()
     }
 
     /// Total records tracked (clustered + singleton).
     pub fn member_count(&self) -> usize {
-        self.member_sig.len()
+        self.members
     }
 
     /// Size of the largest cluster (1 if only singletons, 0 if empty).
@@ -156,84 +170,119 @@ impl CachedPartition {
     /// monotone in the real footprint.
     pub fn approx_bytes(&self) -> usize {
         let clustered = self.member_count() - self.singleton_count();
-        128 + self.member_sig.len() * 24
-            + self.singletons.len() * 24
-            + self.index.len() * 16
-            + self.clusters.len() * 56
-            + clustered * 8
+        128 + self.groups.len() * 24 + self.clusters.len() * 56 + clustered * 8
+    }
+
+    /// The packed `{a, b}` signature of a record's full code row.
+    fn sig_of(&self, codes: &[ValueId]) -> u64 {
+        (codes[self.a] as u64) << 32 | codes[self.b] as u64
     }
 
     /// Adds `rid` with signature `sig`: joins its cluster, promotes a
     /// matching singleton, or starts a new singleton.
     fn add_member(&mut self, sig: u64, rid: RecordId) {
-        self.member_sig.insert(rid, sig);
-        if let Some(&slot) = self.index.get(&sig) {
-            let cluster = &mut self.clusters[slot as usize].1;
-            // New ids are assigned monotonically, so this is a push in
-            // the common case; the binary search keeps re-builds after
-            // out-of-order restores correct too.
-            if let Err(pos) = cluster.binary_search(&rid) {
-                cluster.insert(pos, rid);
+        self.members += 1;
+        let len = match self.groups.entry(sig) {
+            Entry::Occupied(mut group) => match *group.get() {
+                Group::Cluster(slot) => {
+                    let cluster = &mut self.clusters[slot as usize].1;
+                    // New ids are assigned monotonically, so this is a
+                    // push in the common case; the binary search keeps
+                    // re-builds after out-of-order restores correct too.
+                    if let Err(pos) = cluster.binary_search(&rid) {
+                        cluster.insert(pos, rid);
+                    }
+                    cluster.len()
+                }
+                Group::Single(prev) => {
+                    group.insert(Group::Cluster(self.clusters.len() as u32));
+                    let pair = if prev < rid {
+                        vec![prev, rid]
+                    } else {
+                        vec![rid, prev]
+                    };
+                    self.clusters.push((sig, pair));
+                    2
+                }
+            },
+            Entry::Vacant(group) => {
+                group.insert(Group::Single(rid));
+                1
             }
-            self.max_len = self.max_len.max(cluster.len());
-        } else if let Some(prev) = self.singletons.remove(&sig) {
-            let slot = self.clusters.len() as u32;
-            let pair = if prev < rid {
-                vec![prev, rid]
-            } else {
-                vec![rid, prev]
-            };
-            self.clusters.push((sig, pair));
-            self.index.insert(sig, slot);
-            self.max_len = self.max_len.max(2);
-        } else {
-            self.singletons.insert(sig, rid);
-            self.max_len = self.max_len.max(1);
-        }
+        };
+        self.max_len = self.max_len.max(len);
     }
 
-    /// Removes `rid`, demoting its cluster to a singleton when only one
-    /// member remains. Returns `false` if the record was not tracked.
-    fn remove_member(&mut self, rid: RecordId) -> bool {
-        let Some(sig) = self.member_sig.remove(&rid) else {
-            return false;
+    /// Removes `rid` from the group of `sig`, demoting its cluster to a
+    /// singleton when only one member remains. Returns the size the
+    /// group had before the removal, or `None` if the record was not
+    /// tracked under `sig`. Leaves `max_len` to the caller, which
+    /// recomputes it once after a run of removals.
+    fn remove_member(&mut self, sig: u64, rid: RecordId) -> Option<usize> {
+        let Entry::Occupied(mut group) = self.groups.entry(sig) else {
+            return None;
         };
-        if let Some(&slot) = self.index.get(&sig) {
-            let slot = slot as usize;
-            let cluster = &mut self.clusters[slot].1;
-            let was_max = cluster.len() == self.max_len;
-            if let Ok(pos) = cluster.binary_search(&rid) {
-                cluster.remove(pos);
+        let slot = match *group.get() {
+            Group::Single(single) if single == rid => {
+                group.remove();
+                self.members -= 1;
+                return Some(1);
             }
-            if cluster.len() == 1 {
-                let survivor = cluster[0];
-                self.index.remove(&sig);
-                self.singletons.insert(sig, survivor);
-                self.clusters.swap_remove(slot);
-                if slot < self.clusters.len() {
-                    // Re-point the slot of the cluster that swap_remove
-                    // moved into the vacated position.
-                    let moved_sig = self.clusters[slot].0;
-                    self.index.insert(moved_sig, slot as u32);
-                }
-            }
-            if was_max {
-                self.recompute_max();
-            }
-        } else {
-            self.singletons.remove(&sig);
-            if self.clusters.is_empty() && self.singletons.is_empty() {
-                self.max_len = 0;
-            }
+            Group::Single(_) => return None,
+            Group::Cluster(slot) => slot as usize,
+        };
+        let cluster = &mut self.clusters[slot].1;
+        let pos = cluster.binary_search(&rid).ok()?;
+        cluster.remove(pos);
+        self.members -= 1;
+        if cluster.len() > 1 {
+            return Some(cluster.len() + 1);
         }
-        true
+        group.insert(Group::Single(cluster[0]));
+        self.clusters.swap_remove(slot);
+        if let Some(&(moved_sig, _)) = self.clusters.get(slot) {
+            // Re-point the cluster that swap_remove moved into the
+            // vacated slot.
+            self.groups.insert(moved_sig, Group::Cluster(slot as u32));
+        }
+        Some(2)
     }
 
     fn recompute_max(&mut self) {
         let clustered = self.clusters.iter().map(|(_, c)| c.len()).max();
         self.max_len = clustered
             .unwrap_or(0)
-            .max(usize::from(!self.singletons.is_empty()));
+            .max(usize::from(self.singleton_count() > 0));
+    }
+
+    /// Patches the partition for one applied batch: `deleted` records
+    /// (with their pre-batch codes) leave their groups, then `inserted`
+    /// records (live in `rel`) join the group of their signature.
+    /// Returns `false` — leaving the partition half-patched, for the
+    /// caller to drop — when a record cannot be resolved.
+    fn patch(
+        &mut self,
+        rel: &DynamicRelation,
+        deleted: &[(RecordId, &[ValueId])],
+        inserted: &[RecordId],
+    ) -> bool {
+        let mut max_shrunk = false;
+        for &(rid, codes) in deleted {
+            match self.remove_member(self.sig_of(codes), rid) {
+                Some(len) => max_shrunk |= len == self.max_len,
+                None => return false,
+            }
+        }
+        if max_shrunk {
+            self.recompute_max();
+        }
+        for &rid in inserted {
+            match rel.packed_sig(rid, self.a, self.b) {
+                Some(sig) => self.add_member(sig, rid),
+                None => return false,
+            }
+        }
+        true
     }
 }
 
@@ -430,35 +479,22 @@ impl PliCache {
     }
 
     /// Patches every entry for one applied batch: `deleted` records
-    /// leave their clusters, `inserted` records (still live in `rel`)
-    /// join the cluster of their signature. An entry whose patch cannot
-    /// resolve a record against the relation is invalidated. Ends with
-    /// an eviction pass (inserts grow entries).
+    /// (pre-batch records with the codes they were deleted with, as
+    /// [`UndoLog::deleted_rows`](crate::UndoLog::deleted_rows) yields
+    /// them) leave their clusters, `inserted` records (still live in
+    /// `rel`) join the cluster of their signature. An entry whose patch
+    /// cannot resolve a record — a deleted one it does not hold, or an
+    /// inserted one the relation does not — is invalidated. Ends with an
+    /// eviction pass (inserts grow entries).
     pub fn apply_batch(
         &mut self,
         rel: &DynamicRelation,
-        deleted: &[RecordId],
+        deleted: &[(RecordId, &[ValueId])],
         inserted: &[RecordId],
     ) {
         let mut dead: Vec<AttrSet> = Vec::new();
         for (key, entry) in self.entries.iter_mut() {
-            let part = Arc::make_mut(&mut entry.part);
-            for &rid in deleted {
-                part.remove_member(rid);
-            }
-            let mut patched = true;
-            for &rid in inserted {
-                match rel.packed_sig(rid, part.a, part.b) {
-                    Some(sig) => part.add_member(sig, rid),
-                    None => {
-                        // The "inserted" record is not live: the entry
-                        // and the relation have diverged — invalidate.
-                        patched = false;
-                        break;
-                    }
-                }
-            }
-            if !patched {
+            if !Arc::make_mut(&mut entry.part).patch(rel, deleted, inserted) {
                 dead.push(*key);
             }
         }
@@ -499,7 +535,9 @@ impl PliCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AppliedBatch, Batch};
     use dynfd_common::Schema;
+    use proptest::prelude::*;
 
     fn rel(rows: &[&[&str]]) -> DynamicRelation {
         let arity = rows.first().map_or(2, |r| r.len());
@@ -537,22 +575,53 @@ mod tests {
         assert_eq!(p.max_cluster_len(), 2);
     }
 
+    /// A cache holding `{a, b}` for every given pair, built over `r`.
+    fn cache_with(r: &DynamicRelation, pairs: &[(usize, usize)]) -> PliCache {
+        let mut cache = PliCache::new(usize::MAX);
+        for &(a, b) in pairs {
+            cache.merge(&[CacheEffects {
+                built: Some((key(a, b), Arc::new(CachedPartition::build(r, a, b)))),
+                ..CacheEffects::default()
+            }]);
+        }
+        cache
+    }
+
+    /// Applies `batch` to `r` and patches `cache` for it, the way the
+    /// engine does: deletes resolve through the undo log's codes.
+    fn apply(r: &mut DynamicRelation, cache: &mut PliCache, batch: &Batch) -> AppliedBatch {
+        let (applied, undo) = r.apply_batch_logged(batch).unwrap();
+        let deleted: Vec<_> = undo.deleted_rows().collect();
+        cache.apply_batch(r, &deleted, &applied.inserted);
+        applied
+    }
+
+    /// Clusters (sorted), singleton count, member count and largest
+    /// cluster: everything a patch must keep equal to a fresh build.
+    type Shape = (Vec<Vec<RecordId>>, usize, usize, usize);
+
+    fn shape(p: &CachedPartition) -> Shape {
+        let mut clusters: Vec<Vec<RecordId>> = p.clusters().map(<[RecordId]>::to_vec).collect();
+        clusters.sort();
+        (
+            clusters,
+            p.singleton_count(),
+            p.member_count(),
+            p.max_cluster_len(),
+        )
+    }
+
     #[test]
     fn patch_insert_promotes_and_extends() {
         let mut r = paper();
-        let p = CachedPartition::build(&r, 0, 3);
         // {firstname, city}: cluster (Max, Potsdam) = {0,1}; singletons 2, 3.
-        assert_eq!(p.cluster_count(), 1);
-
-        let mut cache = PliCache::new(usize::MAX);
-        cache.merge(&[CacheEffects {
-            built: Some((key(0, 3), Arc::new(p))),
-            ..CacheEffects::default()
-        }]);
+        let mut cache = cache_with(&r, &[(0, 3)]);
+        assert_eq!(cache.snapshot().get(&key(0, 3)).unwrap().cluster_count(), 1);
 
         // New (Anna, Berlin) record joins record 3's singleton.
-        let rid = r.insert_row(&["Anna", "Gray", "13591", "Berlin"]).unwrap();
-        cache.apply_batch(&r, &[], &[rid]);
+        let mut batch = Batch::new();
+        batch.insert(vec!["Anna", "Gray", "13591", "Berlin"]);
+        let rid = apply(&mut r, &mut cache, &batch).inserted[0];
         let snap = cache.snapshot();
         let p = snap.get(&key(0, 3)).unwrap();
         assert_eq!(p.cluster_count(), 2);
@@ -563,14 +632,10 @@ mod tests {
     #[test]
     fn patch_delete_demotes_clusters() {
         let mut r = paper();
-        let p = CachedPartition::build(&r, 0, 3);
-        let mut cache = PliCache::new(usize::MAX);
-        cache.merge(&[CacheEffects {
-            built: Some((key(0, 3), Arc::new(p))),
-            ..CacheEffects::default()
-        }]);
-        r.delete_record(RecordId(0)).unwrap();
-        cache.apply_batch(&r, &[RecordId(0)], &[]);
+        let mut cache = cache_with(&r, &[(0, 3)]);
+        let mut batch = Batch::new();
+        batch.delete(RecordId(0));
+        apply(&mut r, &mut cache, &batch);
         let snap = cache.snapshot();
         let p = snap.get(&key(0, 3)).unwrap();
         assert_eq!(p.cluster_count(), 0, "cluster {{0,1}} demoted");
@@ -582,27 +647,115 @@ mod tests {
     #[test]
     fn patched_partition_matches_fresh_build() {
         let mut r = paper();
-        let mut cache = PliCache::new(usize::MAX);
-        cache.merge(&[CacheEffects {
-            built: Some((key(1, 3), Arc::new(CachedPartition::build(&r, 1, 3)))),
-            ..CacheEffects::default()
-        }]);
+        let mut cache = cache_with(&r, &[(1, 3)]);
         // A batch that deletes, updates (delete+insert), and inserts.
-        r.delete_record(RecordId(2)).unwrap();
-        let new1 = r.insert_row(&["Eve", "Jones", "14482", "Berlin"]).unwrap();
-        let new2 = r.insert_row(&["Ana", "Jones", "10115", "Berlin"]).unwrap();
-        cache.apply_batch(&r, &[RecordId(2)], &[new1, new2]);
+        let mut batch = Batch::new();
+        batch
+            .delete(RecordId(2))
+            .update(RecordId(3), vec!["Eve", "Jones", "14482", "Berlin"])
+            .insert(vec!["Ana", "Jones", "10115", "Berlin"]);
+        apply(&mut r, &mut cache, &batch);
 
-        let fresh = CachedPartition::build(&r, 1, 3);
         let snap = cache.snapshot();
-        let patched = snap.get(&key(1, 3)).unwrap();
-        let mut a: Vec<&[RecordId]> = patched.clusters().collect();
-        let mut b: Vec<&[RecordId]> = fresh.clusters().collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "same clusters regardless of patch vs rebuild");
-        assert_eq!(patched.singleton_count(), fresh.singleton_count());
-        assert_eq!(patched.max_cluster_len(), fresh.max_cluster_len());
+        assert_eq!(
+            shape(snap.get(&key(1, 3)).unwrap()),
+            shape(&CachedPartition::build(&r, 1, 3)),
+            "same partition regardless of patch vs rebuild"
+        );
+    }
+
+    #[test]
+    fn unresolvable_delete_invalidates_the_entry() {
+        let r = paper();
+        let mut cache = cache_with(&r, &[(0, 3)]);
+        // Record 0's codes, but an id the entry never held: the entry and
+        // the relation have diverged.
+        let codes = r.compressed(RecordId(0)).unwrap().to_vec();
+        cache.apply_batch(&r, &[(RecordId(9), &codes)], &[]);
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats().evictions, 1);
+    }
+
+    /// One change of a generated batch; record positions are taken
+    /// modulo the live (or same-batch) records, so every script applies.
+    #[derive(Clone, Debug)]
+    enum PatchOp {
+        Insert(Vec<String>),
+        Delete(usize),
+        Update(usize, Vec<String>),
+        /// Deletes a record an earlier op of the same batch inserted.
+        DeleteFresh(usize),
+    }
+
+    fn arb_row() -> impl Strategy<Value = Vec<String>> {
+        proptest::collection::vec((0..3u8).prop_map(|v| format!("v{v}")), 4)
+    }
+
+    fn arb_batches() -> impl Strategy<Value = Vec<Vec<PatchOp>>> {
+        let op = prop_oneof![
+            arb_row().prop_map(PatchOp::Insert),
+            (0usize..64).prop_map(PatchOp::Delete),
+            ((0usize..64), arb_row()).prop_map(|(i, row)| PatchOp::Update(i, row)),
+            (0usize..64).prop_map(PatchOp::DeleteFresh),
+        ];
+        proptest::collection::vec(proptest::collection::vec(op, 1..12), 1..8)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A cache holding every 2-attribute entry, patched batch by
+        /// batch, equals a fresh build after every batch, and no patch
+        /// invalidates an entry.
+        #[test]
+        fn patched_cache_equals_fresh_build(
+            initial in proptest::collection::vec(arb_row(), 0..16),
+            batches in arb_batches(),
+        ) {
+            let mut r = DynamicRelation::from_rows(Schema::anonymous("t", 4), &initial).unwrap();
+            let pairs: Vec<(usize, usize)> =
+                (0..4).flat_map(|a| (a + 1..4).map(move |b| (a, b))).collect();
+            let mut cache = cache_with(&r, &pairs);
+            let mut live: Vec<RecordId> = r.record_ids().collect();
+            for script in &batches {
+                let mut batch = Batch::new();
+                let mut fresh: Vec<RecordId> = Vec::new();
+                let mut next = r.next_id().raw();
+                for op in script {
+                    match op {
+                        PatchOp::Insert(row) => {
+                            batch.insert(row.clone());
+                            fresh.push(RecordId(next));
+                            next += 1;
+                        }
+                        PatchOp::Delete(i) if !live.is_empty() => {
+                            batch.delete(live.remove(i % live.len()));
+                        }
+                        PatchOp::Update(i, row) if !live.is_empty() => {
+                            batch.update(live.remove(i % live.len()), row.clone());
+                            fresh.push(RecordId(next));
+                            next += 1;
+                        }
+                        PatchOp::DeleteFresh(i) if !fresh.is_empty() => {
+                            batch.delete(fresh.remove(i % fresh.len()));
+                        }
+                        _ => {}
+                    }
+                }
+                live.extend(fresh);
+                apply(&mut r, &mut cache, &batch);
+                prop_assert_eq!(cache.stats().evictions, 0, "a patch invalidated an entry");
+                let snap = cache.snapshot();
+                for &(a, b) in &pairs {
+                    let patched = snap.get(&key(a, b)).unwrap();
+                    prop_assert_eq!(
+                        shape(patched),
+                        shape(&CachedPartition::build(&r, a, b)),
+                        "entry {{{}, {}}} diverged from a fresh build", a, b
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -682,15 +835,12 @@ mod tests {
     #[test]
     fn snapshot_is_isolated_from_later_patches() {
         let mut r = paper();
-        let mut cache = PliCache::new(usize::MAX);
-        cache.merge(&[CacheEffects {
-            built: Some((key(0, 3), Arc::new(CachedPartition::build(&r, 0, 3)))),
-            ..CacheEffects::default()
-        }]);
+        let mut cache = cache_with(&r, &[(0, 3)]);
         let snap = cache.snapshot();
         let before = snap.get(&key(0, 3)).unwrap().member_count();
-        let rid = r.insert_row(&["New", "Row", "00000", "Nowhere"]).unwrap();
-        cache.apply_batch(&r, &[], &[rid]);
+        let mut batch = Batch::new();
+        batch.insert(vec!["New", "Row", "00000", "Nowhere"]);
+        apply(&mut r, &mut cache, &batch);
         // The old snapshot still sees the pre-patch partition (the patch
         // copied on write); a fresh snapshot sees the new member.
         assert_eq!(snap.get(&key(0, 3)).unwrap().member_count(), before);

@@ -167,6 +167,17 @@ impl UndoLog {
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
+
+    /// The records the batch deleted that existed before it, with the
+    /// codes they held, in deletion order. Deletes of records the same
+    /// batch inserted are left out. This is how derived indexes find a
+    /// deleted record's values after the relation has dropped them.
+    pub fn deleted_rows(&self) -> impl Iterator<Item = (RecordId, &[ValueId])> + '_ {
+        self.ops.iter().filter_map(move |op| match op {
+            UndoOp::Removed(rid, codes) if *rid < self.next_id_before => Some((*rid, &codes[..])),
+            _ => None,
+        })
+    }
 }
 
 /// A relation instance maintained under inserts, updates, and deletes.
@@ -584,18 +595,19 @@ impl DynamicRelation {
                 ChangeOp::Insert(_) => continue,
             };
             if self.contains(rid) {
+                let codes = self.row_codes_boxed(rid).expect("checked live above");
                 if let ChangeOp::Update(_, new_row) = op {
                     if applied.update_only {
-                        // Invariant: guarded by `self.contains(rid)` above.
-                        let old = self.materialize(rid).expect("live record");
-                        for (attr, (o, n)) in old.iter().zip(new_row.iter()).enumerate() {
-                            if o != n {
+                        // A value is unchanged iff it already has the
+                        // old value's code; comparing codes decodes no
+                        // strings.
+                        for (attr, new) in new_row.iter().enumerate() {
+                            if self.dictionaries[attr].lookup(new) != Some(codes[attr]) {
                                 applied.touched_attrs.insert(attr);
                             }
                         }
                     }
                 }
-                let codes = self.row_codes_boxed(rid).expect("checked live above");
                 self.delete_record(rid)?;
                 undo.ops.push(UndoOp::Removed(rid, codes));
                 applied.deleted.push(rid);
@@ -897,9 +909,10 @@ impl DynamicRelation {
 
     /// Debug-only structural audit of the arena invariants: slot maps
     /// are mutually inverse, the free-list covers dead slots exactly,
-    /// and every PLI cluster references live slots whose column code
-    /// matches the cluster's value, in ascending rid order. Used by the
-    /// fuzz harness after slot-churn traces; O(n·m).
+    /// every PLI cluster references live slots whose column code
+    /// matches the cluster's value, in ascending rid order, and every
+    /// PLI's `max_cluster_len` is its largest cluster. Used by the fuzz
+    /// harness after slot-churn traces; O(n·m).
     pub fn check_arena_invariants(&self) -> Result<()> {
         let fail = |msg: String| Err(DynError::Parse(msg));
         let mut live = 0usize;
@@ -928,8 +941,10 @@ impl DynamicRelation {
         }
         for (attr, pli) in self.plis.iter().enumerate() {
             let mut entries = 0usize;
+            let mut largest = 0usize;
             for (value, cluster) in pli.iter() {
                 entries += cluster.len();
+                largest = largest.max(cluster.len());
                 let mut prev: Option<RecordId> = None;
                 for &slot in cluster {
                     let rid = self.slot_rids[slot as usize];
@@ -949,6 +964,12 @@ impl DynamicRelation {
                 return fail(format!(
                     "PLI {attr} indexes {entries} of {} records",
                     self.live
+                ));
+            }
+            if pli.max_cluster_len() != largest {
+                return fail(format!(
+                    "PLI {attr} reports a largest cluster of {} but holds {largest}",
+                    pli.max_cluster_len()
                 ));
             }
         }
