@@ -15,8 +15,8 @@
 //!
 //! Run `cargo run --release -p dynfd-bench --bin experiments -- all` to
 //! regenerate everything; results are printed as tables and written as
-//! CSV under `EXPERIMENTS-results/`. Criterion micro-benches for the hot
-//! kernels live in `benches/`.
+//! CSV under `EXPERIMENTS-results/`. End-to-end and per-layer
+//! performance is measured by the separate `perfbench/` package.
 
 #![warn(missing_docs)]
 
@@ -24,15 +24,3 @@ pub mod experiments;
 pub mod report;
 pub mod runner;
 pub mod strategies;
-
-/// Sample count for the criterion micro-benches: `DYNFD_BENCH_SAMPLES`
-/// overrides the given default so CI smoke runs can trade precision for
-/// wall time without a separate bench profile. Unset, unparsable, or
-/// zero values fall back to `default`.
-pub fn bench_samples(default: usize) -> usize {
-    std::env::var("DYNFD_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}

@@ -110,7 +110,8 @@ pub struct DynFdConfig {
     /// Lattice levels with fewer validation jobs than this run
     /// sequentially even when [`DynFdConfig::parallelism`] asks for
     /// workers — thread spawn costs more than a whole small level (the
-    /// BENCH_pr1.json arity-1 anomaly). `0` disables the fallback.
+    /// arity-1 anomaly of the validator sweep in EXPERIMENTS.md). `0`
+    /// disables the fallback.
     pub parallel_min_jobs: usize,
     /// Snapshot cadence of the durable engine (`dynfd-persist`): after
     /// every `snapshot_every` applied batches, full engine state is

@@ -51,7 +51,7 @@ pub use errors::{DynFdError, DynFdResult};
 pub use failpoint::{FailAction, FailPhase, FailPoint};
 pub use metrics::BatchMetrics;
 pub use monitor::{FdMonitor, MonitorReport};
-pub use pipeline::{CachePressure, DynFd};
+pub use pipeline::DynFd;
 pub use violations::ViolationStore;
 
 #[cfg(test)]

@@ -84,8 +84,8 @@ pub struct BatchMetrics {
     /// (zero when the snapshot cadence did not fire).
     pub snapshot_time: Duration,
     /// Batches this engine applied while resource governance had
-    /// degraded its PLI cache (budget shrunk or cache disabled by
-    /// [`DynFd::set_cache_pressure`](crate::DynFd::set_cache_pressure)).
+    /// degraded its PLI cache (budget shrunk below `pli_cache_bytes`,
+    /// possibly to 0, by [`DynFd::limit_cache`](crate::DynFd::limit_cache)).
     /// Validation verdicts and covers are unaffected — only the
     /// acceleration layer runs squeezed — but operators watching batch
     /// latency need to know the engine was under memory pressure.

@@ -14,29 +14,6 @@ use dynfd_relation::{
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-/// Memory-pressure level a resource governor may impose on the
-/// acceleration layer (the PLI-intersection cache).
-///
-/// Pressure is *observationally invisible* to the FD semantics: covers,
-/// verdicts, and annotation validity are identical at any level (the
-/// cache-equivalence guarantee) — only wall-clock time and resident
-/// bytes change. Governors (the serve layer's global byte budget) step
-/// an engine down through [`Squeezed`](CachePressure::Squeezed) to
-/// [`Uncached`](CachePressure::Uncached) before resorting to eviction,
-/// and back to [`Normal`](CachePressure::Normal) when pressure clears.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CachePressure {
-    /// No pressure: the configured `pli_cache_bytes` applies.
-    #[default]
-    Normal,
-    /// Cache budget clamped to `min(configured, given)` bytes; excess
-    /// entries are evicted immediately.
-    Squeezed(usize),
-    /// Cache dropped entirely; validation runs uncached until pressure
-    /// lifts.
-    Uncached,
-}
-
 /// Maintains the minimal, non-trivial FDs of a relation under batches of
 /// inserts, updates, and deletes.
 ///
@@ -88,10 +65,6 @@ pub struct DynFd {
     /// from the relation: [`DynFd::state_divergence`] deliberately
     /// ignores it, and it is cleared whenever a batch rolls back.
     pub(crate) pli_cache: PliCache,
-    /// Governor-imposed memory pressure on the acceleration layer (see
-    /// [`CachePressure`]). Operator bookkeeping like `failpoint`:
-    /// [`DynFd::state_divergence`] ignores it.
-    cache_pressure: CachePressure,
     /// Lifetime count of degraded-mode cover rebuilds.
     recoveries: u64,
     /// Human-readable description of the most recent consistency breach
@@ -121,7 +94,6 @@ impl DynFd {
             config,
             failpoint: None,
             pli_cache: PliCache::new(config.pli_cache_bytes),
-            cache_pressure: CachePressure::Normal,
             recoveries: 0,
             last_breach: None,
         }
@@ -186,46 +158,35 @@ impl DynFd {
         self.rel.approx_bytes() + self.pli_cache.bytes()
     }
 
-    /// The memory pressure currently imposed on the acceleration layer.
-    pub fn cache_pressure(&self) -> CachePressure {
-        self.cache_pressure
-    }
-
-    /// Imposes (or lifts) memory pressure on the acceleration layer.
-    /// Takes effect immediately — a squeeze evicts down to the clamped
-    /// budget, [`CachePressure::Uncached`] drops the cache — and stays
-    /// in force for subsequent batches until reset to
-    /// [`CachePressure::Normal`]. Covers and verdicts are unaffected;
-    /// batches applied under pressure stamp
+    /// Limits the PLI-intersection cache to `min(bytes,
+    /// pli_cache_bytes)` — the memory-pressure step a resource governor
+    /// (the serve layer's quotas and global byte budget) takes before
+    /// refusing or evicting a tenant. Takes effect immediately: entries
+    /// over the new budget are evicted, and a limit of `0` drops the
+    /// cache (without counting evictions) so validation runs uncached.
+    /// The limit stays in force for later batches; a limit at or above
+    /// the configured budget lifts it. Covers and verdicts are
+    /// unaffected; batches applied under a limit stamp
     /// [`BatchMetrics::degraded_batches`].
-    pub fn set_cache_pressure(&mut self, pressure: CachePressure) {
-        self.cache_pressure = pressure;
-        match pressure {
-            CachePressure::Normal => {
-                self.pli_cache.set_budget(self.config.pli_cache_bytes);
-            }
-            CachePressure::Squeezed(bytes) => {
-                self.pli_cache
-                    .set_budget(bytes.min(self.config.pli_cache_bytes));
-            }
-            CachePressure::Uncached => self.pli_cache.clear(),
+    pub fn limit_cache(&mut self, bytes: usize) {
+        let budget = bytes.min(self.config.pli_cache_bytes);
+        if budget == 0 {
+            self.pli_cache.clear();
         }
+        self.pli_cache.set_budget(budget);
     }
 
-    /// Whether the PLI-intersection cache is active for the next batch:
-    /// configured with a non-zero budget *and* not suppressed by
-    /// governor pressure.
+    /// The PLI-intersection cache's byte budget for the next batch: the
+    /// configured `pli_cache_bytes`, or less under
+    /// [`DynFd::limit_cache`].
+    pub fn cache_budget(&self) -> usize {
+        self.pli_cache.budget()
+    }
+
+    /// Whether the PLI-intersection cache is active for the next batch
+    /// (a non-zero [`DynFd::cache_budget`]).
     pub fn cache_enabled(&self) -> bool {
-        self.config.pli_cache_bytes > 0 && self.cache_pressure != CachePressure::Uncached
-    }
-
-    /// The cache byte budget the next batch will run under (the
-    /// configured budget clamped by any squeeze).
-    fn effective_cache_budget(&self) -> usize {
-        match self.cache_pressure {
-            CachePressure::Squeezed(bytes) => bytes.min(self.config.pli_cache_bytes),
-            _ => self.config.pli_cache_bytes,
-        }
+        self.cache_budget() > 0
     }
 
     /// Number of §5.2 violation annotations currently cached.
@@ -271,14 +232,11 @@ impl DynFd {
         // delta at the end so patch-time evictions are included.
         let cache_stats_before = self.pli_cache.stats();
         if self.cache_enabled() {
-            self.pli_cache.set_budget(self.effective_cache_budget());
             let deleted: Vec<_> = undo.deleted_rows().collect();
             self.pli_cache
                 .apply_batch(&self.rel, &deleted, &applied.inserted);
-        } else if !self.pli_cache.is_empty() {
-            self.pli_cache.clear();
         }
-        if self.config.pli_cache_bytes > 0 && self.cache_pressure != CachePressure::Normal {
+        if self.cache_budget() < self.config.pli_cache_bytes {
             metrics.degraded_batches = 1;
         }
 

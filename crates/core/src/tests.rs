@@ -799,6 +799,101 @@ fn update_pruning_random_streams_stay_exact() {
 }
 
 #[test]
+fn limited_cache_leaves_covers_unchanged() {
+    // One seeded stream of mixed batches. After a few batches warm an
+    // unlimited engine's PLI cache, clones of it are limited above the
+    // configured budget (clamped back to it), to a quarter of it (LRU
+    // evictions) and to 0 (uncached), and all of them replay the rest
+    // of the stream. Covers, relation and FD deltas must agree after
+    // every batch; only the cache and its degradation stamp may differ.
+    const BUDGET: usize = 4096;
+    const WARM: usize = 3;
+    let cols = 5usize;
+    let mut x = 0xCAC4E_u64;
+    let mut next = move || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        x >> 16
+    };
+    let row = |next: &mut dyn FnMut() -> u64| -> Vec<String> {
+        (0..cols)
+            .map(|c| format!("v{}", next() % (2 + c as u64)))
+            .collect()
+    };
+    let rows: Vec<Vec<String>> = (0..30).map(|_| row(&mut next)).collect();
+    let rel = DynamicRelation::from_rows(Schema::anonymous("c", cols), &rows).unwrap();
+    let config = DynFdConfig {
+        pli_cache_bytes: BUDGET,
+        ..DynFdConfig::default()
+    };
+    let mut unlimited = DynFd::new(rel, config);
+    let mut limited: Vec<(usize, DynFd)> = Vec::new();
+    let mut live: Vec<RecordId> = (0..30).map(RecordId).collect();
+    let mut next_id = 30u64;
+    let (mut full_hits, mut quarter_evictions) = (0, 0);
+    for i in 0..WARM + 10 {
+        if i == WARM {
+            assert!(!unlimited.pli_cache.is_empty(), "warm-up cached nothing");
+            for limit in [2 * BUDGET, BUDGET / 4, 0] {
+                let mut engine = unlimited.clone();
+                let evictions = engine.pli_cache.stats().evictions;
+                engine.limit_cache(limit);
+                if limit == 0 {
+                    assert!(engine.pli_cache.is_empty());
+                    assert_eq!(engine.pli_cache.stats().evictions, evictions);
+                }
+                limited.push((limit.min(BUDGET), engine));
+            }
+        }
+        let mut batch = Batch::new();
+        for _ in 0..2 {
+            let rid = live.swap_remove((next() as usize) % live.len());
+            batch.delete(rid);
+        }
+        for _ in 0..2 {
+            let rid = live.swap_remove((next() as usize) % live.len());
+            batch.update(rid, row(&mut next));
+            live.push(RecordId(next_id));
+            next_id += 1;
+        }
+        for _ in 0..3 {
+            batch.insert(row(&mut next));
+            live.push(RecordId(next_id));
+            next_id += 1;
+        }
+        let reference = unlimited.apply_batch(&batch).unwrap();
+        assert_eq!(reference.metrics.degraded_batches, 0);
+        for (budget, engine) in &mut limited {
+            let result = engine.apply_batch(&batch).unwrap();
+            assert_eq!(
+                engine.logical_divergence(&unlimited),
+                None,
+                "budget {budget}"
+            );
+            assert_eq!(result.added, reference.added, "budget {budget}");
+            assert_eq!(result.removed, reference.removed, "budget {budget}");
+            assert_eq!(engine.cache_budget(), *budget);
+            let degraded = usize::from(*budget < BUDGET);
+            assert_eq!(result.metrics.degraded_batches, degraded, "budget {budget}");
+            if *budget == BUDGET {
+                full_hits += result.metrics.cache_hits;
+            }
+            if *budget == BUDGET / 4 {
+                quarter_evictions += result.metrics.cache_evictions;
+            }
+            if *budget == 0 {
+                assert!(!engine.cache_enabled());
+                assert_eq!(result.metrics.cache_hits + result.metrics.cache_misses, 0);
+                assert_eq!(engine.resident_bytes(), engine.relation().approx_bytes());
+            }
+        }
+    }
+    assert!(full_hits > 0, "the stream never reused a cached partition");
+    assert!(quarter_evictions > 0, "the quarter budget never evicted");
+}
+
+#[test]
 fn metrics_report_batch_composition() {
     let mut dynfd = DynFd::new(paper_relation(), DynFdConfig::default());
     let mut batch = Batch::new();

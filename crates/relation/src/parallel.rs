@@ -39,9 +39,10 @@ pub fn resolve_parallelism(requested: usize) -> usize {
 /// `min_jobs` jobs run sequentially regardless of `requested`.
 ///
 /// Spawning OS threads costs tens of microseconds each — more than a
-/// whole small level's validation work, which is why BENCH_pr1.json
-/// showed `threads/{2,4,8}` *slower* than `threads/1` on arity-1 levels
-/// (6 jobs). `min_jobs = 0` disables the fallback.
+/// whole small level's validation work, which is why the validator
+/// sweep in EXPERIMENTS.md showed `threads/{2,4,8}` *slower* than
+/// `threads/1` on arity-1 levels (6 jobs). `min_jobs = 0` disables the
+/// fallback.
 pub fn adaptive_workers(requested: usize, job_count: usize, min_jobs: usize) -> usize {
     if job_count < min_jobs {
         1

@@ -3,15 +3,12 @@
 //! This module preserves the pre-columnar layout of the engine — records
 //! as `HashMap<RecordId, Box<[ValueId]>>`, PLIs as
 //! `BTreeMap<ValueId, Vec<RecordId>>`, validation through `HashMap`
-//! group tables — as an executable specification. It exists for two
-//! consumers:
-//!
-//! * `tests/layout_equivalence.rs` replays change traces through this
-//!   store and the columnar [`DynamicRelation`](crate::DynamicRelation)
-//!   side by side, asserting bit-identical verdicts *and witnesses*;
-//! * the scale benches measure the columnar hot path against this
-//!   baseline in the same process (`BENCH_scale.json`'s
-//!   `layout/{columnar,rowstore}` rows).
+//! group tables — as an executable specification:
+//! `tests/layout_equivalence.rs` replays change traces through this
+//! store and the columnar [`DynamicRelation`](crate::DynamicRelation)
+//! side by side, asserting bit-identical verdicts *and witnesses*. (Its
+//! speed against the columnar store, which backed the layout decision,
+//! is recorded in DESIGN.md §6f.)
 //!
 //! It is deliberately a faithful copy of the old semantics, not a
 //! maintained engine: no undo log, no cache integration, no parallel

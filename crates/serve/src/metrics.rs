@@ -12,8 +12,9 @@
 //! The same [`TenantMetrics`] struct backs the engine-wide aggregate:
 //! every per-tenant increment also lands on the engine's aggregate
 //! instance, so shed/quota/deadline rejections survive the eviction of
-//! the tenant that suffered them — the property `serve_load`'s global
-//! snapshot depends on.
+//! the tenant that suffered them — the property
+//! `ServeEngine::global_metrics` and the CLI's `--stats` aggregate line
+//! depend on.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

@@ -44,14 +44,13 @@ pub(crate) struct ShardQueue<T> {
 }
 
 impl<T> ShardQueue<T> {
-    /// An open queue; `paused` workers block on [`ShardQueue::pop`] even
-    /// when items are ready (the deterministic-burst test hook).
-    pub fn new(paused: bool) -> Self {
+    /// An open, unpaused queue.
+    pub fn new() -> Self {
         ShardQueue {
             inner: Mutex::new(ShardInner {
                 items: VecDeque::new(),
                 closed: false,
-                paused,
+                paused: false,
             }),
             ready: Condvar::new(),
         }
@@ -178,7 +177,8 @@ mod tests {
 
     #[test]
     fn fifo_order_survives_pause_and_close() {
-        let q: ShardQueue<u32> = ShardQueue::new(true);
+        let q: ShardQueue<u32> = ShardQueue::new();
+        q.set_paused(true);
         for i in 0..5 {
             q.push(i).expect("open queue accepts");
         }
@@ -194,7 +194,7 @@ mod tests {
 
     #[test]
     fn pop_blocks_until_push_across_threads() {
-        let q: Arc<ShardQueue<u32>> = Arc::new(ShardQueue::new(false));
+        let q: Arc<ShardQueue<u32>> = Arc::new(ShardQueue::new());
         let q2 = Arc::clone(&q);
         let consumer = std::thread::spawn(move || q2.pop());
         std::thread::sleep(std::time::Duration::from_millis(10));

@@ -41,7 +41,7 @@ use crate::queue::ShardQueue;
 use crate::tenant::{valid_tenant_name, Backend, Tenant};
 use crate::{QuotaKind, ServeError};
 use dynfd_common::Schema;
-use dynfd_core::{CachePressure, DynFd, DynFdConfig, DynFdError, FailPoint};
+use dynfd_core::{DynFd, DynFdConfig, DynFdError, FailPoint};
 use dynfd_persist::{CrashPlan, FdEngine, RecoveryReport};
 use dynfd_relation::{Batch, DynamicRelation};
 use std::collections::HashMap;
@@ -108,9 +108,6 @@ pub struct ServeConfig {
     pub root: Option<PathBuf>,
     /// Engine configuration shared by every tenant.
     pub engine: DynFdConfig,
-    /// Start with delivery paused: jobs queue but no worker runs them
-    /// until [`ServeEngine::resume`] — the deterministic-burst test hook.
-    pub start_paused: bool,
     /// Crash-harness hook: during shutdown's drain, abort the process
     /// after this many more jobs complete (`>= 1`; `None` disables).
     pub drain_kill_after: Option<u64>,
@@ -138,7 +135,6 @@ impl Default for ServeConfig {
             policy: AdmissionPolicy::Shed,
             root: None,
             engine: DynFdConfig::default(),
-            start_paused: false,
             drain_kill_after: None,
             quota: TenantQuota::default(),
             global_bytes_budget: None,
@@ -386,9 +382,8 @@ impl ServeEngine {
         });
         // Arm at shutdown only: workers check the flag per job, and the
         // engine flips it right before closing the queues.
-        let shards: Vec<Arc<ShardQueue<Job>>> = (0..n)
-            .map(|_| Arc::new(ShardQueue::new(config.start_paused)))
-            .collect();
+        let shards: Vec<Arc<ShardQueue<Job>>> =
+            (0..n).map(|_| Arc::new(ShardQueue::new())).collect();
         let workers = shards
             .iter()
             .map(|shard| {
@@ -515,24 +510,23 @@ impl ServeEngine {
         Ok(OpenReport { seq, recovered })
     }
 
-    /// Steps a tenant's cache pressure one notch down (Normal →
-    /// Squeezed(quarter budget) → Uncached), refreshes its resident
-    /// estimate, and returns it. A tenant configured without a cache
-    /// (`pli_cache_bytes == 0`) has nothing to degrade and takes no
-    /// step. Waits for the engine lock, so the cost lands on the
-    /// submitter that triggered governance.
+    /// Steps a tenant's cache budget one notch down (`pli_cache_bytes`
+    /// → a quarter of it → 0, i.e. uncached), refreshes its resident
+    /// estimate, and returns it. A tenant whose budget is already 0 —
+    /// including one configured without a cache — has nothing to
+    /// degrade and takes no step. Waits for the engine lock, so the
+    /// cost lands on the submitter that triggered governance.
     fn degrade_tenant(&self, tenant: &Arc<Tenant>) -> u64 {
         let stepped = tenant.with_backend(|b| {
             let engine = b.dynfd_mut();
-            let budget = engine.config().pli_cache_bytes;
-            let next = match engine.cache_pressure() {
-                _ if budget == 0 => None,
-                CachePressure::Normal => Some(CachePressure::Squeezed(budget / 4)),
-                CachePressure::Squeezed(_) => Some(CachePressure::Uncached),
-                CachePressure::Uncached => None,
+            let configured = engine.config().pli_cache_bytes;
+            let next = match engine.cache_budget() {
+                0 => None,
+                budget if budget == configured => Some(configured / 4),
+                _ => Some(0),
             };
-            if let Some(pressure) = next {
-                engine.set_cache_pressure(pressure);
+            if let Some(bytes) = next {
+                engine.limit_cache(bytes);
             }
             (next.is_some(), engine.resident_bytes() as u64)
         });
@@ -821,14 +815,15 @@ impl ServeEngine {
     }
 
     /// Whether every shard currently has delivery paused (see
-    /// [`ServeConfig::start_paused`] / [`ServeEngine::pause`]). A
-    /// paused engine with a backlog never goes idle, so teardown paths
-    /// must not [`ServeEngine::quiesce`] it.
+    /// [`ServeEngine::pause`]). A paused engine with a backlog never
+    /// goes idle, so teardown paths must not [`ServeEngine::quiesce`] it.
     pub fn is_paused(&self) -> bool {
         !self.shards.is_empty() && self.shards.iter().all(|s| s.is_paused())
     }
 
-    /// Pauses delivery on every shard (queued jobs are retained).
+    /// Pauses delivery on every shard (queued jobs are retained). Called
+    /// before the first submission, it makes the whole backlog queue up
+    /// before any worker runs — the deterministic-burst test hook.
     pub fn pause(&self) {
         for shard in &self.shards {
             shard.set_paused(true);

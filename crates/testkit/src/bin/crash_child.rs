@@ -76,10 +76,10 @@ fn run_serve_drain(dir: &std::path::Path, seed: u64, snapshot_every: usize, kill
             snapshot_every,
             ..DynFdConfig::default()
         },
-        start_paused: true,
         drain_kill_after: Some(kill_after),
         ..ServeConfig::default()
     });
+    engine.pause();
     for (name, trace) in &traces {
         if let Err(e) = engine.open_tenant(name, trace.schema.clone(), &trace.initial_rows) {
             eprintln!("crash_child: open {name}: {e}");

@@ -301,7 +301,7 @@ pub fn check_quota_storm(seed: u64, workers: usize) -> Result<ChaosStats, String
 
     // Governance telemetry: the hog was degraded before it was refused,
     // and the engine-wide aggregate carries the rejections (the counters
-    // a `serve_load` global snapshot reports).
+    // `ServeEngine::global_metrics` reports).
     let hog_metrics = engine.metrics("hog").map_err(|e| e.to_string())?;
     if hog_metrics.degrades == 0 {
         return Err("quota governor refused the hog without degrading it first".into());
@@ -480,9 +480,9 @@ pub fn check_evict_during_apply(
         policy: AdmissionPolicy::Block,
         root: Some(root.to_path_buf()),
         engine: config,
-        start_paused: true,
         ..ServeConfig::default()
     }));
+    engine.pause();
     for (name, trace) in &traces {
         engine
             .open_tenant(name, trace.schema.clone(), &trace.initial_rows)

@@ -8,7 +8,8 @@
 # Produces:
 #   EXPERIMENTS-results/*.csv   one CSV per table/figure
 #   test_output.txt             full test-suite log
-#   bench_output.txt            criterion micro-bench log
+#   bench_output.txt            perfbench notes and one JSON result
+#                               line per end-to-end workload
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,4 +24,7 @@ cargo build --release --workspace
 ./target/release/experiments fig7 --scale "$SCALE"
 
 cargo test --workspace 2>&1 | tee test_output.txt
-cargo bench --workspace 2>&1 | tee bench_output.txt
+# End-to-end benchmark: the engine replay and the socket server.
+for workload in disease-updates serve-window; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 10 --trace 0
+done | tee bench_output.txt

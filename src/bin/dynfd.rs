@@ -750,10 +750,12 @@ fn cmd_serve_multi(args: &[String]) -> Result<(), CliError> {
         },
         global_bytes_budget: global_bytes,
         default_deadline: deadline_ms.map(Duration::from_millis),
-        start_paused,
         drain_kill_after,
         ..ServeConfig::default()
     }));
+    if start_paused {
+        engine.pause();
+    }
     eprintln!(
         "# serve --multi: {} workers, per-tenant queue {queue_capacity} ({}), root {}{}",
         engine.worker_count(),

@@ -34,9 +34,9 @@ fn plugged_engine() -> ServeEngine {
         policy: AdmissionPolicy::Shed,
         root: None,
         quota: TenantQuota::default(),
-        start_paused: true,
         ..ServeConfig::default()
     });
+    engine.pause();
     engine
         .open_tenant("t", dynfd_common::Schema::anonymous("t", 2), &[])
         .expect("open tenant");

@@ -69,9 +69,13 @@ fn durable_wal_bytes_identical_across_worker_counts() {
 fn eight_workers_more_tenants_than_shards() {
     // 12 tenants on 8 workers forces shard sharing: several tenants are
     // pinned to the same FIFO, which is exactly where cross-tenant
-    // reordering bugs would live.
-    let stats = check_concurrent_serve(SEED ^ 0xABCD, 12, 8, None).expect("12 tenants, 8 workers");
-    assert_eq!(stats.states_compared, 12);
+    // reordering bugs would live. 64 tenants put eight on a shard on
+    // average, and every one of their batches must still apply.
+    for tenants in [12usize, 64] {
+        let stats = check_concurrent_serve(SEED ^ 0xABCD, tenants, 8, None)
+            .unwrap_or_else(|e| panic!("{tenants} tenants, 8 workers: {e}"));
+        assert_eq!(stats.states_compared, tenants);
+    }
 }
 
 proptest! {
