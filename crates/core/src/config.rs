@@ -85,13 +85,6 @@ pub struct DynFdConfig {
     /// is skipped in both phases. Off by default (the paper's evaluated
     /// configuration).
     pub update_pruning: bool,
-    /// Worker-thread budget for level-wise candidate validation and the
-    /// violation search. `0` means *auto* (one worker per available
-    /// core), `1` forces the sequential code path, `n > 1` caps the
-    /// worker count at `n`. The produced covers, deltas, and violation
-    /// annotations are bit-identical for every setting; only wall-clock
-    /// time changes.
-    pub parallelism: usize,
     /// Post-batch self-check level. When a check detects cover
     /// corruption, the engine enters degraded mode for that batch:
     /// both covers are rebuilt from scratch via a static HyFD run, the
@@ -107,12 +100,6 @@ pub struct DynFdConfig {
     /// identical either way; only violation witness pairs and wall-clock
     /// time may differ.
     pub pli_cache_bytes: usize,
-    /// Lattice levels with fewer validation jobs than this run
-    /// sequentially even when [`DynFdConfig::parallelism`] asks for
-    /// workers — thread spawn costs more than a whole small level (the
-    /// arity-1 anomaly of the validator sweep in EXPERIMENTS.md). `0`
-    /// disables the fallback.
-    pub parallel_min_jobs: usize,
     /// Snapshot cadence of the durable engine (`dynfd-persist`): after
     /// every `snapshot_every` applied batches, full engine state is
     /// written to a snapshot file and the write-ahead batch log is
@@ -131,10 +118,8 @@ impl Default for DynFdConfig {
             depth_first_search: true,
             known_keys: AttrSet::empty(),
             update_pruning: false,
-            parallelism: 0,
             consistency: ConsistencyLevel::Off,
             pli_cache_bytes: 16 << 20,
-            parallel_min_jobs: 16,
             snapshot_every: 64,
         }
     }
@@ -184,12 +169,6 @@ impl DynFdConfig {
             }
         }
         configs
-    }
-
-    /// The concrete worker count for this machine: resolves the `0 =
-    /// auto` convention of [`DynFdConfig::parallelism`].
-    pub fn effective_parallelism(&self) -> usize {
-        dynfd_relation::resolve_parallelism(self.parallelism)
     }
 
     /// Short human-readable label of the enabled strategy set, matching
@@ -243,17 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_resolution() {
-        let mut c = DynFdConfig::default();
-        assert_eq!(c.parallelism, 0, "default is auto");
-        assert!(c.effective_parallelism() >= 1);
-        c.parallelism = 1;
-        assert_eq!(c.effective_parallelism(), 1);
-        c.parallelism = 4;
-        assert_eq!(c.effective_parallelism(), 4);
-    }
-
-    #[test]
     fn ablation_matrix_covers_all_toggle_combinations() {
         let matrix = DynFdConfig::ablation_matrix();
         assert_eq!(matrix.len(), 32);
@@ -273,7 +241,6 @@ mod tests {
     fn cache_defaults() {
         let c = DynFdConfig::default();
         assert_eq!(c.pli_cache_bytes, 16 << 20, "cache is on by default");
-        assert_eq!(c.parallel_min_jobs, 16);
         assert_eq!(c.snapshot_every, 64, "periodic snapshots on by default");
         // The default label is unchanged by the cache being on.
         assert_eq!(c.strategy_label(), "4.3+5.3+4.2+5.2");

@@ -40,12 +40,9 @@ impl DynFd {
             let mut valid_fds: Vec<Fd> = Vec::new();
 
             // Lines 2-5: decide which of the level's (still live) non-FDs
-            // need a validation at all. All three skip checks — liveness,
-            // update pruning, and the §5.2 needsValidation() probe — stay
-            // on the coordinating thread: they read (and §5.2 logically
-            // belongs with code that later *writes*) the violation store,
-            // which is not shared with workers. Only the pure PLI
-            // validations of the survivors fan out.
+            // need a validation at all: liveness, update pruning, and the
+            // §5.2 needsValidation() probe against the violation store.
+            // Only the survivors get a PLI validation.
             let mut survivors: Vec<Fd> = Vec::new();
             for non_fd in snapshot {
                 if !self.non_fds.contains(non_fd.lhs, non_fd.rhs) {
@@ -72,8 +69,8 @@ impl DynFd {
                 survivors.push(non_fd);
             }
 
-            // Fan out the survivors' validations, then apply the verdicts
-            // in snapshot order — identical to the sequential loop.
+            // Validate the survivors, then apply the verdicts in snapshot
+            // order.
             let jobs: Vec<ValidationJob> = survivors
                 .iter()
                 .map(|fd| (fd.lhs, AttrSet::single(fd.rhs)))

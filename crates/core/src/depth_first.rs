@@ -32,9 +32,8 @@ impl DynFd {
         let k = ((n as f64 * DFS_SEED_FRACTION).ceil() as usize).clamp(1, n);
         let stride = n.div_ceil(k);
         let mut visited: HashSet<Fd> = HashSet::new();
-        // One scratch serves the whole search: the recursion is
-        // inherently sequential (each validation depends on the verdicts
-        // before it), so the win here is allocation reuse, not threads.
+        // One scratch serves the whole search (each validation depends on
+        // the verdicts before it), so the steady state allocates nothing.
         let mut scratch = ValidatorScratch::new();
         for idx in (0..n).step_by(stride) {
             metrics.dfs_seeds += 1;

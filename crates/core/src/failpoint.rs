@@ -2,11 +2,9 @@
 //!
 //! A [`FailPoint`] armed on a [`DynFd`] instance trips once, at a
 //! deterministic point of the *next* batch: when the named phase has
-//! issued at least `after_validations` candidate validations. The
-//! trigger is keyed on [`BatchMetrics::validation_jobs`], which is
-//! invariant under the worker-thread count, so an injected fault fires
-//! at the same logical point whether the engine runs on one thread or
-//! sixteen. The failpoint disarms itself *before* acting, so a retry of
+//! issued at least `after_validations` candidate validations (the
+//! trigger is keyed on [`BatchMetrics::validation_jobs`]). The
+//! failpoint disarms itself *before* acting, so a retry of
 //! the same batch after the injected failure succeeds — exactly the
 //! recovery story the transactional boundary promises.
 //!

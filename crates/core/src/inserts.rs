@@ -44,8 +44,8 @@ impl DynFd {
         let mut level = 0usize;
         while self.fds.max_level().is_some_and(|max| level <= max) {
             // Lines 2-5: validate the level, collecting invalid FDs. All
-            // cover-dependent filtering happens here on the coordinating
-            // thread; only the resulting pure validation jobs fan out.
+            // cover-dependent filtering happens first; the resulting pure
+            // validation jobs then run through the level executor.
             let snapshot = self.fds.get_level(level);
             let mut groups: BTreeMap<AttrSet, AttrSet> = BTreeMap::new();
             for fd in &snapshot {
@@ -88,11 +88,9 @@ impl DynFd {
                 jobs.push((lhs, live));
             }
 
-            // The level's jobs are independent (the relation is frozen and
-            // verdicts are applied only after all of them return), so they
-            // shard across workers; results come back in job order, which
-            // keeps the verdict application — and hence the covers —
-            // bit-identical to the sequential traversal.
+            // The level's jobs are independent: the relation is frozen and
+            // verdicts are applied only after all of them return, in job
+            // order.
             let mut invalid: Vec<(Fd, (RecordId, RecordId))> = Vec::new();
             let results = self.run_level_validations(&jobs, &opts);
             for (&(lhs, _), result) in jobs.iter().zip(&results) {

@@ -16,10 +16,6 @@ pub struct BatchMetrics {
     /// Wall-clock time of the insert phase (Algorithm 2) alone,
     /// including any triggered violation search.
     pub insert_phase_time: Duration,
-    /// Worker threads the validation engine was allowed to use for this
-    /// batch (the resolved value of `DynFdConfig::parallelism`). Under
-    /// `absorb` this is the maximum across batches, not a sum.
-    pub threads_used: usize,
     /// Records inserted (updates count once here and once in `deletes`).
     pub inserts: usize,
     /// Records deleted.
@@ -70,7 +66,7 @@ pub struct BatchMetrics {
     pub cache_evictions: usize,
     /// Approximate resident bytes of the PLI-intersection cache after
     /// the batch. Under `absorb` this is the maximum across batches,
-    /// like `threads_used`.
+    /// not a sum.
     pub cache_bytes: usize,
     /// Bytes the durable engine (`dynfd-persist`) appended to the
     /// write-ahead batch log for this batch (frame header + payload).
@@ -113,10 +109,7 @@ pub struct BatchMetrics {
 
 impl BatchMetrics {
     /// Total candidate validations the batch issued across both phases
-    /// (`fd_validations + non_fd_validations`) — the job count of the
-    /// parallel validation engine. Determinism tests compare this across
-    /// thread counts: the engine must produce the identical job stream
-    /// regardless of how many workers execute it.
+    /// (`fd_validations + non_fd_validations`).
     pub fn validation_jobs(&self) -> usize {
         self.fd_validations + self.non_fd_validations
     }
@@ -127,7 +120,6 @@ impl BatchMetrics {
         self.wall_time += other.wall_time;
         self.delete_phase_time += other.delete_phase_time;
         self.insert_phase_time += other.insert_phase_time;
-        self.threads_used = self.threads_used.max(other.threads_used);
         self.inserts += other.inserts;
         self.deletes += other.deletes;
         self.fd_validations += other.fd_validations;
@@ -180,20 +172,20 @@ mod tests {
     }
 
     #[test]
-    fn absorb_takes_max_threads_and_sums_phase_times() {
+    fn absorb_takes_max_cache_bytes_and_sums_phase_times() {
         let mut a = BatchMetrics {
-            threads_used: 4,
+            cache_bytes: 4,
             insert_phase_time: Duration::from_millis(3),
             ..Default::default()
         };
         let b = BatchMetrics {
-            threads_used: 2,
+            cache_bytes: 2,
             insert_phase_time: Duration::from_millis(4),
             delete_phase_time: Duration::from_millis(1),
             ..Default::default()
         };
         a.absorb(&b);
-        assert_eq!(a.threads_used, 4);
+        assert_eq!(a.cache_bytes, 4);
         assert_eq!(a.insert_phase_time, Duration::from_millis(7));
         assert_eq!(a.delete_phase_time, Duration::from_millis(1));
     }

@@ -8,8 +8,8 @@ use crate::{BatchMetrics, BatchResult, DynFdConfig, ViolationStore};
 use dynfd_common::Fd;
 use dynfd_lattice::{invert_positive_cover, FdTree};
 use dynfd_relation::{
-    adaptive_workers, validate_fd, validate_many, validate_many_cached, Batch, DynamicRelation,
-    PliCache, ValidationJob, ValidationOptions, ValidationResult,
+    validate_cached, validate_fd, validate_with, Batch, DynamicRelation, PliCache, ValidationJob,
+    ValidationOptions, ValidationResult, ValidatorScratch,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -194,8 +194,8 @@ impl DynFd {
         self.violations.len()
     }
 
-    /// The §5.2 violation annotations, deterministically sorted (used by
-    /// the parallel-determinism tests to compare runs).
+    /// The §5.2 violation annotations, deterministically sorted (tests
+    /// compare runs through it).
     pub fn violation_annotations(
         &self,
     ) -> Vec<(Fd, (dynfd_common::RecordId, dynfd_common::RecordId))> {
@@ -252,12 +252,8 @@ impl DynFd {
             self.violations.purge_records(&applied.deleted);
 
             // Step 2: deletes first (Section 2 explains the ordering),
-            // then Step 3: inserts. Both phases fan their candidate
-            // validations out over the configured worker budget; each is
-            // guarded so that a panic anywhere inside it — including in
-            // a validation worker, whose payload the join re-raises on
-            // this thread — becomes a typed error.
-            metrics.threads_used = self.config.effective_parallelism();
+            // then Step 3: inserts. Each phase is guarded so that a panic
+            // anywhere inside it becomes a typed error.
             let mut outcome: DynFdResult<()> = Ok(());
             if applied.has_deletes() {
                 let phase = Instant::now();
@@ -318,27 +314,26 @@ impl DynFd {
     }
 
     /// Runs one lattice level's validation jobs — the single executor
-    /// both phases use. The worker count is resolved once from the
-    /// configured budget and the small-level sequential fallback
-    /// (`DynFdConfig::parallel_min_jobs`); the jobs then run through the
-    /// PLI-intersection cache when enabled
-    /// (`DynFdConfig::pli_cache_bytes` > 0), plain otherwise. Results
-    /// come back in job order.
+    /// both phases use. The jobs run in order with one
+    /// [`ValidatorScratch`], through the PLI-intersection cache when it
+    /// is enabled (`DynFdConfig::pli_cache_bytes` > 0), so a partition
+    /// one job builds serves the later jobs of the level.
     pub(crate) fn run_level_validations(
         &mut self,
         jobs: &[ValidationJob],
         opts: &ValidationOptions,
     ) -> Vec<ValidationResult> {
-        let workers = adaptive_workers(
-            self.config.effective_parallelism(),
-            jobs.len(),
-            self.config.parallel_min_jobs,
-        );
-        if self.cache_enabled() {
-            validate_many_cached(&self.rel, jobs, opts, workers, &mut self.pli_cache)
-        } else {
-            validate_many(&self.rel, jobs, opts, workers)
-        }
+        let mut scratch = ValidatorScratch::new();
+        let cached = self.cache_enabled();
+        jobs.iter()
+            .map(|&(lhs, rhs)| {
+                if cached {
+                    validate_cached(&self.rel, lhs, rhs, opts, &mut scratch, &mut self.pli_cache)
+                } else {
+                    validate_with(&self.rel, lhs, rhs, opts, &mut scratch)
+                }
+            })
+            .collect()
     }
 
     /// Lifetime count of degraded-mode cover rebuilds (see
@@ -509,9 +504,8 @@ impl DynFd {
 }
 
 /// Runs one maintenance phase with a panic boundary: a panic anywhere
-/// inside `f` — the coordinating thread or a validation worker (whose
-/// payload `parallel.rs` re-raises on join) — is converted into
-/// [`DynFdError::PhasePanicked`] so `apply_batch` can roll back.
+/// inside `f` is converted into [`DynFdError::PhasePanicked`] so
+/// `apply_batch` can roll back.
 ///
 /// `AssertUnwindSafe` is justified by what the caller does with an
 /// `Err`: every structure the closure may have half-mutated (covers,

@@ -894,6 +894,20 @@ fn limited_cache_leaves_covers_unchanged() {
 }
 
 #[test]
+fn a_partition_built_in_a_level_serves_the_rest_of_it() {
+    // Two non-FDs with the same LHS, as the delete phase validates them:
+    // the first job misses and builds {f, c}; the second pivots on it.
+    let mut dynfd = DynFd::new(paper_relation(), DynFdConfig::default());
+    let before = dynfd.pli_cache.stats();
+    let jobs = [(s(&[0, 3]), s(&[1])), (s(&[0, 3]), s(&[2]))];
+    let results = dynfd.run_level_validations(&jobs, &dynfd_relation::ValidationOptions::full());
+    assert_eq!(results.len(), 2);
+    let delta = dynfd.pli_cache.stats().delta_since(&before);
+    assert_eq!((delta.misses, delta.hits), (1, 1));
+    assert_eq!(dynfd.pli_cache.len(), 1);
+}
+
+#[test]
 fn metrics_report_batch_composition() {
     let mut dynfd = DynFd::new(paper_relation(), DynFdConfig::default());
     let mut batch = Batch::new();

@@ -29,12 +29,8 @@ use crate::config::{SearchMode, INEFFICIENCY_THRESHOLD};
 use crate::errors::{DynFdError, DynFdResult};
 use crate::{BatchMetrics, DynFd};
 use dynfd_common::{AttrSet, RecordId};
-use dynfd_relation::{agree_set, par_map};
+use dynfd_relation::agree_set;
 use std::collections::{BTreeSet, HashSet};
-
-/// One cluster's window-scan output: pair comparisons performed and the
-/// non-trivial agree-set witnesses found, in window-position order.
-type ClusterScan = (usize, Vec<(AttrSet, RecordId, RecordId)>);
 
 /// A PLI cluster prepared for windowed comparisons.
 struct SortedCluster {
@@ -80,47 +76,38 @@ impl DynFd {
         // Collect each inserted record's partner clusters: for every
         // attribute, the cluster holding the record's value. The same
         // (attr, value) cluster is collected once even if several new
-        // records share it. The (attr, value) job list is assembled in
-        // deterministic order on the coordinating thread; the expensive
-        // part — the per-cluster similarity sort — fans out.
-        let threads = self.config.effective_parallelism();
-        let mut cluster_jobs: Vec<(usize, u32)> = Vec::new();
+        // records share it.
+        let rel = &self.rel;
+        let mut clusters: Vec<SortedCluster> = Vec::new();
         for attr in 0..arity {
             let mut values: BTreeSet<u32> = BTreeSet::new();
             for &slot in &new_slots {
-                values.insert(self.rel.row_at_slot(slot).get(attr));
+                values.insert(rel.row_at_slot(slot).get(attr));
             }
             for value in values {
-                let cluster = self.rel.pli(attr).cluster(value).ok_or_else(|| {
+                let cluster = rel.pli(attr).cluster(value).ok_or_else(|| {
                     DynFdError::invariant(
                         "violation-search",
                         format!("inverted index misses cluster ({attr}, {value}) of a live record"),
                     )
                 })?;
-                if cluster.len() >= 2 {
-                    cluster_jobs.push((attr, value));
+                if cluster.len() < 2 {
+                    continue;
                 }
+                // Clusters hold arena slots; the windowed scan wants
+                // record ids (agree sets and witnesses are rid-level
+                // artifacts).
+                let mut members: Vec<RecordId> =
+                    cluster.iter().map(|&s| rel.rid_at_slot(s)).collect();
+                members.sort_by(|&x, &y| {
+                    rel.compressed(x)
+                        .expect("cluster member is live")
+                        .cmp(&rel.compressed(y).expect("cluster member is live"))
+                });
+                let is_new = members.iter().map(|m| new_ids.contains(m)).collect();
+                clusters.push(SortedCluster { members, is_new });
             }
         }
-        let rel = &self.rel;
-        let clusters = par_map(&cluster_jobs, threads, |_: &mut (), &(attr, value)| {
-            // Invariant expects inside the worker closure: the job list
-            // above proved each (attr, value) cluster exists and every
-            // member id is live, and the relation is frozen while the
-            // workers run. A panic here crosses the par_map join and is
-            // converted to `PhasePanicked` at the transactional boundary.
-            let cluster = rel.pli(attr).cluster(value).expect("cluster vetted above");
-            // Clusters hold arena slots; the windowed scan wants record
-            // ids (agree sets and witnesses are rid-level artifacts).
-            let mut members: Vec<RecordId> = cluster.iter().map(|&s| rel.rid_at_slot(s)).collect();
-            members.sort_by(|&x, &y| {
-                rel.compressed(x)
-                    .expect("cluster member is live")
-                    .cmp(&rel.compressed(y).expect("cluster member is live"))
-            });
-            let is_new = members.iter().map(|m| new_ids.contains(m)).collect();
-            SortedCluster { members, is_new }
-        });
         if clusters.is_empty() {
             return Ok(());
         }
@@ -134,21 +121,14 @@ impl DynFd {
         let mut applied: HashSet<AttrSet> = HashSet::new();
         let mut dist = 1usize;
         loop {
-            // The window scan splits into a read-only half (pair
-            // selection + agree-set computation against the frozen
-            // relation) that fans out per cluster, and a mutating half
-            // (witness application to the covers) that runs on the
-            // coordinating thread in (cluster, window-position) order —
-            // the exact order of the sequential scan, so the covers and
-            // the `learned` yield driving the cut-off are bit-identical.
             let mut any_window_applied = false;
-            let rel = &self.rel;
-            let scans: Vec<ClusterScan> = par_map(&clusters, threads, |_: &mut (), c| {
-                let mut comparisons = 0usize;
-                let mut witnesses: Vec<(AttrSet, RecordId, RecordId)> = Vec::new();
+            let mut comparisons = 0usize;
+            let mut learned = 0usize;
+            for c in &clusters {
                 if c.members.len() <= dist {
-                    return (comparisons, witnesses);
+                    continue;
                 }
+                any_window_applied = true;
                 for i in 0..c.members.len() - dist {
                     // Only pairs touching an inserted record can carry
                     // *new* violations.
@@ -157,25 +137,10 @@ impl DynFd {
                     }
                     let (a, b) = (c.members[i], c.members[i + dist]);
                     comparisons += 1;
-                    // Worker-closure invariant (see the sort above): both
-                    // ids came from a live cluster of the frozen relation.
-                    let agree = agree_set(rel, a, b).expect("cluster members are live");
+                    let agree = agree_set(&self.rel, a, b).expect("cluster members are live");
                     if agree.len() == arity {
                         continue; // duplicates witness nothing
                     }
-                    witnesses.push((agree, a, b));
-                }
-                (comparisons, witnesses)
-            });
-
-            let mut comparisons = 0usize;
-            let mut learned = 0usize;
-            for (c, (cluster_comparisons, witnesses)) in clusters.iter().zip(scans) {
-                if c.members.len() > dist {
-                    any_window_applied = true;
-                }
-                comparisons += cluster_comparisons;
-                for (agree, a, b) in witnesses {
                     if applied.insert(agree) && self.apply_non_fd_witness(agree, (a, b)) {
                         learned += 1;
                     }

@@ -1,15 +1,12 @@
-//! Change-log ingestion and auto-batching.
+//! Change-log ingestion.
 //!
-//! The paper's input is "a stream [of changes] that is first transformed
-//! and then processed in batches ... e.g., equally sized groups of
-//! change operations or, alternatively, all operations from within a
-//! tumbling time window" (Section 2). This module provides both sides:
-//!
-//! * [`parse_changelog`] — a line-oriented text format for externally
-//!   recorded change histories (the role the paper's extracted
-//!   MusicBrainz/Wikipedia/TSA histories play);
-//! * [`Batcher`] — count-based auto-batching of a change stream;
-//! * [`WindowBatcher`] — tumbling windows over timestamped operations.
+//! [`parse_changelog`] reads a line-oriented text format for externally
+//! recorded change histories (the role the paper's extracted
+//! MusicBrainz/Wikipedia/TSA histories play), and [`write_changelog`]
+//! writes it back. The paper processes such a stream "in batches ...
+//! e.g., equally sized groups of change operations" (Section 2);
+//! [`Batch::chunk`](crate::Batch::chunk) cuts the parsed operations
+//! into those groups.
 //!
 //! ## Change-log format
 //!
@@ -24,7 +21,7 @@
 //! U|7|Max|Miller|10115|Berlin     update record id 7 to the new row
 //! ```
 
-use crate::batch::{Batch, ChangeOp};
+use crate::batch::ChangeOp;
 use dynfd_common::{DynError, RecordId, Result};
 
 /// Parses a change log in the format documented at module level.
@@ -151,112 +148,6 @@ fn check_arity(row: &[String], arity: usize, line_no: usize) -> Result<()> {
     }
 }
 
-/// Count-based auto-batching: groups a change stream into batches of a
-/// fixed capacity, the batching mode used throughout the paper's
-/// evaluation. Push operations in; a full [`Batch`] pops out every
-/// `capacity` ops; call [`Batcher::flush`] at stream end.
-#[derive(Clone, Debug)]
-pub struct Batcher {
-    capacity: usize,
-    pending: Vec<ChangeOp>,
-}
-
-impl Batcher {
-    /// Creates a batcher emitting batches of `capacity` operations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "batch capacity must be positive");
-        Batcher {
-            capacity,
-            pending: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Adds one operation; returns a full batch when the capacity is
-    /// reached.
-    pub fn push(&mut self, op: ChangeOp) -> Option<Batch> {
-        self.pending.push(op);
-        if self.pending.len() == self.capacity {
-            Some(Batch::from_ops(std::mem::take(&mut self.pending)))
-        } else {
-            None
-        }
-    }
-
-    /// Emits whatever is pending as a final (possibly smaller) batch.
-    pub fn flush(&mut self) -> Option<Batch> {
-        if self.pending.is_empty() {
-            None
-        } else {
-            Some(Batch::from_ops(std::mem::take(&mut self.pending)))
-        }
-    }
-
-    /// Operations currently buffered.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-}
-
-/// Tumbling-window auto-batching over *timestamped* operations: all
-/// operations whose timestamp falls into the same `[k·width, (k+1)·width)`
-/// window form one batch — the paper's alternative batching mode.
-/// Timestamps must be non-decreasing (a change log is ordered).
-#[derive(Clone, Debug)]
-pub struct WindowBatcher {
-    width: u64,
-    current_window: Option<u64>,
-    pending: Vec<ChangeOp>,
-}
-
-impl WindowBatcher {
-    /// Creates a batcher with tumbling windows of `width` time units.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0`.
-    pub fn new(width: u64) -> Self {
-        assert!(width > 0, "window width must be positive");
-        WindowBatcher {
-            width,
-            current_window: None,
-            pending: Vec::new(),
-        }
-    }
-
-    /// Adds an operation stamped `timestamp`; returns the previous
-    /// window's batch when the operation opens a new window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if timestamps go backwards across emitted windows.
-    pub fn push(&mut self, timestamp: u64, op: ChangeOp) -> Option<Batch> {
-        let window = timestamp / self.width;
-        let emitted = match self.current_window {
-            Some(w) if window < w => panic!("timestamps must be non-decreasing"),
-            Some(w) if window > w && !self.pending.is_empty() => {
-                Some(Batch::from_ops(std::mem::take(&mut self.pending)))
-            }
-            _ => None,
-        };
-        self.current_window = Some(window);
-        self.pending.push(op);
-        emitted
-    }
-
-    /// Emits the final window's batch.
-    pub fn flush(&mut self) -> Option<Batch> {
-        if self.pending.is_empty() {
-            None
-        } else {
-            Some(Batch::from_ops(std::mem::take(&mut self.pending)))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,42 +186,5 @@ mod tests {
         assert!(parse_changelog("D|1|2\n", 2).is_err(), "extra field");
         assert!(parse_changelog("U|5\n", 2).is_err(), "missing row");
         assert!(parse_changelog("I|a|b\\\n", 2).is_err(), "dangling escape");
-    }
-
-    #[test]
-    fn count_batcher() {
-        let mut b = Batcher::new(3);
-        assert!(b.push(ChangeOp::Delete(RecordId(0))).is_none());
-        assert!(b.push(ChangeOp::Delete(RecordId(1))).is_none());
-        let full = b.push(ChangeOp::Delete(RecordId(2))).expect("full batch");
-        assert_eq!(full.len(), 3);
-        assert_eq!(b.pending(), 0);
-        b.push(ChangeOp::Delete(RecordId(3)));
-        let rest = b.flush().expect("remainder");
-        assert_eq!(rest.len(), 1);
-        assert!(b.flush().is_none());
-    }
-
-    #[test]
-    fn window_batcher_tumbles() {
-        let mut b = WindowBatcher::new(10);
-        assert!(b.push(1, ChangeOp::Delete(RecordId(0))).is_none());
-        assert!(b.push(9, ChangeOp::Delete(RecordId(1))).is_none());
-        // t=10 opens window 1 → window 0's batch pops out.
-        let w0 = b.push(10, ChangeOp::Delete(RecordId(2))).expect("window 0");
-        assert_eq!(w0.len(), 2);
-        // Skipping windows entirely is fine.
-        let w1 = b.push(35, ChangeOp::Delete(RecordId(3))).expect("window 1");
-        assert_eq!(w1.len(), 1);
-        let tail = b.flush().expect("window 3");
-        assert_eq!(tail.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn window_batcher_rejects_time_travel() {
-        let mut b = WindowBatcher::new(10);
-        b.push(25, ChangeOp::Delete(RecordId(0)));
-        b.push(3, ChangeOp::Delete(RecordId(1)));
     }
 }

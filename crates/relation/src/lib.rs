@@ -42,7 +42,6 @@ mod batch;
 mod changelog;
 mod csv;
 mod dictionary;
-pub mod parallel;
 mod pli;
 pub mod pli_cache;
 mod relation;
@@ -50,18 +49,14 @@ pub mod rowstore;
 pub mod validate;
 
 pub use batch::{AppliedBatch, Batch, ChangeOp};
-pub use changelog::{parse_changelog, write_changelog, Batcher, WindowBatcher};
+pub use changelog::{parse_changelog, write_changelog};
 pub use csv::{parse_csv, read_csv_file, CsvTable};
 pub use dictionary::{Dictionary, ValueId, DICTIONARY_CAPACITY};
-pub use parallel::{
-    adaptive_workers, par_map, resolve_parallelism, validate_many, validate_many_cached,
-    ValidationJob,
-};
 pub use pli::Pli;
-pub use pli_cache::{CacheEffects, CacheStats, CachedPartition, PliCache, PliCacheSnapshot};
+pub use pli_cache::{CacheStats, CachedPartition, PliCache};
 pub use relation::{DynamicRelation, NullPolicy, RowRef, UndoLog};
 pub use rowstore::{validate_rowstore, RowStoreRelation};
 pub use validate::{
-    agree_set, validate, validate_cached, validate_fd, validate_with, RhsOutcome,
+    agree_set, validate, validate_cached, validate_fd, validate_with, RhsOutcome, ValidationJob,
     ValidationOptions, ValidationResult, ValidationStats, ValidatorScratch,
 };

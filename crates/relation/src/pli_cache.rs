@@ -37,16 +37,16 @@
 //! cache: entries were already patched to the state the rollback threw
 //! away.
 //!
-//! # Sharing and determinism
+//! # Probing
 //!
-//! Validation workers never lock the cache. Each level takes an
-//! immutable [`PliCacheSnapshot`] (cheap: `Arc` clones per entry),
-//! workers record their probes and newly built partitions as
-//! [`CacheEffects`], and the coordinator merges the effects back **in
-//! job order** at the level barrier. Hit/miss counters, LRU ticks, and
-//! evictions are therefore a pure function of the job list — identical
-//! for every worker count, preserving the engine's bit-for-bit
-//! parallel-determinism contract.
+//! A level's jobs run one after another and probe the cache in place
+//! ([`validate_cached`](crate::validate_cached)): a job that pivots on
+//! an entry counts a hit ([`PliCache::record_hit`]) and refreshes its
+//! LRU tick, and a job that finds no 2-subset of its LHS counts a miss
+//! ([`PliCache::record_miss`]) and inserts the partition it built
+//! ([`PliCache::insert`]), so the next job of the same level can pivot
+//! on it. Counters, LRU ticks and evictions are a pure function of the
+//! job order.
 //!
 //! # Eviction
 //!
@@ -60,7 +60,6 @@ use crate::relation::DynamicRelation;
 use dynfd_common::{AttrSet, RecordId};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Where the records of one signature live in a [`CachedPartition`].
 #[derive(Clone, Copy, Debug)]
@@ -310,58 +309,9 @@ impl CacheStats {
     }
 }
 
-/// What one cache-aware validation did to (or wants from) the cache.
-/// Collected per job and merged back in job order at the level barrier,
-/// keeping cache state and counters independent of the worker count.
-#[derive(Clone, Debug, Default)]
-pub struct CacheEffects {
-    /// The cached key the validation pivoted on, if any.
-    pub hit: Option<AttrSet>,
-    /// Whether an arity ≥ 2 candidate probed the snapshot and found no
-    /// usable subset.
-    pub miss: bool,
-    /// A partition the validation built for itself, offered to the cache
-    /// for future levels. The first offer for a key wins; duplicates
-    /// (parallel jobs missing the same key against the same frozen
-    /// snapshot) are dropped.
-    pub built: Option<(AttrSet, Arc<CachedPartition>)>,
-}
-
-impl CacheEffects {
-    /// Whether the validation interacted with the cache at all.
-    pub fn is_empty(&self) -> bool {
-        self.hit.is_none() && !self.miss && self.built.is_none()
-    }
-}
-
-/// An immutable view of the cache taken at a level barrier. Cloning the
-/// snapshot (or handing `&PliCacheSnapshot` to scoped workers) shares
-/// the partitions by `Arc` — no copies, no locks.
-#[derive(Clone, Debug)]
-pub struct PliCacheSnapshot {
-    entries: HashMap<AttrSet, Arc<CachedPartition>>,
-}
-
-impl PliCacheSnapshot {
-    /// The cached partition for `key`, if resident.
-    pub fn get(&self, key: &AttrSet) -> Option<&Arc<CachedPartition>> {
-        self.entries.get(key)
-    }
-
-    /// Number of resident entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the snapshot holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[derive(Clone, Debug)]
 struct CacheEntry {
-    part: Arc<CachedPartition>,
+    part: CachedPartition,
     /// LRU tick of the last hit (or the insertion), strictly increasing
     /// across all touches, so eviction order is total.
     last_used: u64,
@@ -369,7 +319,7 @@ struct CacheEntry {
 
 /// The [`AttrSet`]-keyed store of memoized PLI intersections.
 ///
-/// See the module docs for the key scheme, maintenance, sharing, and
+/// See the module docs for the key scheme, maintenance, probing, and
 /// eviction rules.
 #[derive(Clone, Debug)]
 pub struct PliCache {
@@ -433,48 +383,41 @@ impl PliCache {
         self.entries.clear();
     }
 
-    /// Takes the immutable per-level view handed to validation workers.
-    pub fn snapshot(&self) -> PliCacheSnapshot {
-        PliCacheSnapshot {
-            entries: self
-                .entries
-                .iter()
-                .map(|(k, e)| (*k, Arc::clone(&e.part)))
-                .collect(),
+    /// The resident partition for `key`, if any. A lookup alone counts
+    /// nothing: the caller reports what it did with the entry through
+    /// [`PliCache::record_hit`] or [`PliCache::record_miss`].
+    pub fn get(&self, key: &AttrSet) -> Option<&CachedPartition> {
+        self.entries.get(key).map(|e| &e.part)
+    }
+
+    /// Counts a validation that pivoted on `key` and makes the entry the
+    /// most recently used.
+    pub fn record_hit(&mut self, key: &AttrSet) {
+        self.stats.hits += 1;
+        self.tick += 1;
+        if let Some(e) = self.entries.get_mut(key) {
+            e.last_used = self.tick;
         }
     }
 
-    /// Merges the per-job effects of one level back, **in job order**:
-    /// hits refresh LRU ticks, misses count, and built partitions are
-    /// inserted first-offer-wins. Ends with an eviction pass down to the
-    /// budget. Deterministic for a given job list regardless of how many
-    /// workers produced the effects.
-    pub fn merge(&mut self, effects: &[CacheEffects]) {
-        for e in effects {
-            if let Some(key) = e.hit {
-                self.stats.hits += 1;
-                self.touch(&key);
-            }
-            if e.miss {
-                self.stats.misses += 1;
-            }
-            if let Some((key, part)) = &e.built {
-                if self.entries.contains_key(key) {
-                    // An earlier job (in job order) already offered this
-                    // key; treat the duplicate as a touch.
-                    self.touch(key);
-                } else {
-                    self.tick += 1;
-                    self.entries.insert(
-                        *key,
-                        CacheEntry {
-                            part: Arc::clone(part),
-                            last_used: self.tick,
-                        },
-                    );
-                }
-            }
-        }
+    /// Counts an arity ≥ 2 validation that found no resident 2-subset of
+    /// its LHS.
+    pub fn record_miss(&mut self) {
+        self.stats.misses += 1;
+    }
+
+    /// Makes `part` resident under its key as the most recently used
+    /// entry (replacing any entry of that key), then evicts down to the
+    /// budget.
+    pub fn insert(&mut self, part: CachedPartition) {
+        self.tick += 1;
+        self.entries.insert(
+            part.key(),
+            CacheEntry {
+                part,
+                last_used: self.tick,
+            },
+        );
         self.evict_to_budget();
     }
 
@@ -494,7 +437,7 @@ impl PliCache {
     ) {
         let mut dead: Vec<AttrSet> = Vec::new();
         for (key, entry) in self.entries.iter_mut() {
-            if !Arc::make_mut(&mut entry.part).patch(rel, deleted, inserted) {
+            if !entry.part.patch(rel, deleted, inserted) {
                 dead.push(*key);
             }
         }
@@ -504,13 +447,6 @@ impl PliCache {
             self.stats.evictions += 1;
         }
         self.evict_to_budget();
-    }
-
-    fn touch(&mut self, key: &AttrSet) {
-        self.tick += 1;
-        if let Some(e) = self.entries.get_mut(key) {
-            e.last_used = self.tick;
-        }
     }
 
     /// Evicts least-recently-used entries (ties broken by key order)
@@ -579,10 +515,7 @@ mod tests {
     fn cache_with(r: &DynamicRelation, pairs: &[(usize, usize)]) -> PliCache {
         let mut cache = PliCache::new(usize::MAX);
         for &(a, b) in pairs {
-            cache.merge(&[CacheEffects {
-                built: Some((key(a, b), Arc::new(CachedPartition::build(r, a, b)))),
-                ..CacheEffects::default()
-            }]);
+            cache.insert(CachedPartition::build(r, a, b));
         }
         cache
     }
@@ -616,14 +549,13 @@ mod tests {
         let mut r = paper();
         // {firstname, city}: cluster (Max, Potsdam) = {0,1}; singletons 2, 3.
         let mut cache = cache_with(&r, &[(0, 3)]);
-        assert_eq!(cache.snapshot().get(&key(0, 3)).unwrap().cluster_count(), 1);
+        assert_eq!(cache.get(&key(0, 3)).unwrap().cluster_count(), 1);
 
         // New (Anna, Berlin) record joins record 3's singleton.
         let mut batch = Batch::new();
         batch.insert(vec!["Anna", "Gray", "13591", "Berlin"]);
         let rid = apply(&mut r, &mut cache, &batch).inserted[0];
-        let snap = cache.snapshot();
-        let p = snap.get(&key(0, 3)).unwrap();
+        let p = cache.get(&key(0, 3)).unwrap();
         assert_eq!(p.cluster_count(), 2);
         assert_eq!(p.singleton_count(), 1);
         assert!(p.clusters().any(|c| c == [RecordId(3), rid]));
@@ -636,8 +568,7 @@ mod tests {
         let mut batch = Batch::new();
         batch.delete(RecordId(0));
         apply(&mut r, &mut cache, &batch);
-        let snap = cache.snapshot();
-        let p = snap.get(&key(0, 3)).unwrap();
+        let p = cache.get(&key(0, 3)).unwrap();
         assert_eq!(p.cluster_count(), 0, "cluster {{0,1}} demoted");
         assert_eq!(p.singleton_count(), 3);
         assert_eq!(p.member_count(), 3);
@@ -656,9 +587,8 @@ mod tests {
             .insert(vec!["Ana", "Jones", "10115", "Berlin"]);
         apply(&mut r, &mut cache, &batch);
 
-        let snap = cache.snapshot();
         assert_eq!(
-            shape(snap.get(&key(1, 3)).unwrap()),
+            shape(cache.get(&key(1, 3)).unwrap()),
             shape(&CachedPartition::build(&r, 1, 3)),
             "same partition regardless of patch vs rebuild"
         );
@@ -745,9 +675,8 @@ mod tests {
                 live.extend(fresh);
                 apply(&mut r, &mut cache, &batch);
                 prop_assert_eq!(cache.stats().evictions, 0, "a patch invalidated an entry");
-                let snap = cache.snapshot();
                 for &(a, b) in &pairs {
-                    let patched = snap.get(&key(a, b)).unwrap();
+                    let patched = cache.get(&key(a, b)).unwrap();
                     prop_assert_eq!(
                         shape(patched),
                         shape(&CachedPartition::build(&r, a, b)),
@@ -761,18 +690,12 @@ mod tests {
     #[test]
     fn lru_eviction_is_deterministic_and_budgeted() {
         let r = paper();
-        let parts: Vec<(AttrSet, Arc<CachedPartition>)> = [(0, 1), (0, 2), (1, 2)]
-            .iter()
-            .map(|&(a, b)| (key(a, b), Arc::new(CachedPartition::build(&r, a, b))))
-            .collect();
-        let one_entry = parts[0].1.approx_bytes();
+        let build = |(a, b)| CachedPartition::build(&r, a, b);
+        let one_entry = build((0, 1)).approx_bytes();
 
         let mut cache = PliCache::new(one_entry * 2 + 64);
-        for (k, p) in &parts {
-            cache.merge(&[CacheEffects {
-                built: Some((*k, Arc::clone(p))),
-                ..CacheEffects::default()
-            }]);
+        for pair in [(0, 1), (0, 2), (1, 2)] {
+            cache.insert(build(pair));
         }
         // Budget fits two entries: the least recently inserted ({0,1})
         // was evicted.
@@ -782,70 +705,21 @@ mod tests {
         assert_eq!(cache.stats().evictions, 1);
 
         // A hit refreshes the tick: {0,2} survives the next insertion.
-        cache.merge(&[CacheEffects {
-            hit: Some(key(0, 2)),
-            ..CacheEffects::default()
-        }]);
-        cache.merge(&[CacheEffects {
-            built: Some((key(0, 1), Arc::clone(&parts[0].1))),
-            ..CacheEffects::default()
-        }]);
+        cache.record_hit(&key(0, 2));
+        cache.insert(build((0, 1)));
         assert!(cache.contains(&key(0, 2)), "recently hit entry survives");
         assert!(!cache.contains(&key(1, 2)), "LRU entry evicted");
         assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]
-    fn merge_is_first_offer_wins_and_counts() {
-        let r = paper();
-        let p1 = Arc::new(CachedPartition::build(&r, 0, 1));
-        let p2 = Arc::new(CachedPartition::build(&r, 0, 1));
-        let mut cache = PliCache::new(usize::MAX);
-        cache.merge(&[
-            CacheEffects {
-                miss: true,
-                built: Some((key(0, 1), Arc::clone(&p1))),
-                ..CacheEffects::default()
-            },
-            CacheEffects {
-                miss: true,
-                built: Some((key(0, 1), Arc::clone(&p2))),
-                ..CacheEffects::default()
-            },
-        ]);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().misses, 2);
-        let snap = cache.snapshot();
-        assert!(Arc::ptr_eq(snap.get(&key(0, 1)).unwrap(), &p1));
-    }
-
-    #[test]
     fn zero_budget_keeps_nothing() {
         let r = paper();
         let mut cache = PliCache::new(0);
-        cache.merge(&[CacheEffects {
-            built: Some((key(0, 1), Arc::new(CachedPartition::build(&r, 0, 1)))),
-            ..CacheEffects::default()
-        }]);
+        cache.insert(CachedPartition::build(&r, 0, 1));
         assert!(cache.is_empty());
         assert_eq!(cache.bytes(), 0);
         assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn snapshot_is_isolated_from_later_patches() {
-        let mut r = paper();
-        let mut cache = cache_with(&r, &[(0, 3)]);
-        let snap = cache.snapshot();
-        let before = snap.get(&key(0, 3)).unwrap().member_count();
-        let mut batch = Batch::new();
-        batch.insert(vec!["New", "Row", "00000", "Nowhere"]);
-        apply(&mut r, &mut cache, &batch);
-        // The old snapshot still sees the pre-patch partition (the patch
-        // copied on write); a fresh snapshot sees the new member.
-        assert_eq!(snap.get(&key(0, 3)).unwrap().member_count(), before);
-        let fresh = cache.snapshot();
-        assert_eq!(fresh.get(&key(0, 3)).unwrap().member_count(), before + 1);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! is recorded in DESIGN.md §6f.)
 //!
 //! It is deliberately a faithful copy of the old semantics, not a
-//! maintained engine: no undo log, no cache integration, no parallel
-//! fan-out. Do not grow features here — fidelity is the point.
+//! maintained engine: no undo log, no cache integration. Do not grow
+//! features here — fidelity is the point.
 
 use crate::batch::{Batch, ChangeOp};
 use crate::dictionary::{Dictionary, ValueId};

@@ -36,10 +36,12 @@
 //! validation degenerates to sequential column scans.
 
 use crate::dictionary::ValueId;
-use crate::pli_cache::{CacheEffects, CachedPartition, PliCacheSnapshot};
+use crate::pli_cache::{CachedPartition, PliCache};
 use crate::relation::DynamicRelation;
 use dynfd_common::{AttrId, AttrSet, Fd, RecordId};
-use std::sync::Arc;
+
+/// One validation job: all candidates `lhs -> r` for `r ∈ rhs_set`.
+pub type ValidationJob = (AttrSet, AttrSet);
 
 /// Knobs for a validation call.
 #[derive(Clone, Copy, Debug, Default)]
@@ -209,8 +211,8 @@ impl GroupTable {
 /// slot-translation buffer for cached partitions, and an
 /// attribute→outcome-slot index. Allocating these per call dominates the
 /// cost of validating the many small candidates of a lattice level;
-/// threading one scratch through a whole level (or one per worker
-/// thread) makes the steady state allocation-free.
+/// threading one scratch through a whole level makes the steady state
+/// allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct ValidatorScratch {
     /// Open-addressed group table shared by the packed and wide paths.
@@ -358,18 +360,16 @@ pub fn validate_with(
 /// PLI when no cached entry beats it (paper-lineage heuristic; see the
 /// [`crate::pli_cache`] module docs).
 ///
-/// Returns the validation result plus the [`CacheEffects`] the caller
-/// must merge back into the owning [`crate::PliCache`] at the level
-/// barrier:
+/// Works on `cache` in place:
 ///
-/// * probing the snapshot and pivoting on a cached entry records a
-///   *hit*;
-/// * probing with no cached subset records a *miss* — and, when the
+/// * pivoting on a cached entry counts a *hit* and refreshes the
+///   entry's LRU tick;
+/// * finding no cached subset counts a *miss* — and, when the
 ///   validation is unpruned, the intersection the validator builds for
-///   the LHS's two most refined attributes is handed back for caching.
-///   Cluster-pruned calls ([`ValidationOptions::delta`]) never build:
-///   they touch only clusters containing new records, so paying a full
-///   O(n) build there would invert the optimization.
+///   the LHS's two most refined attributes is inserted, so the next job
+///   can pivot on it. Cluster-pruned calls ([`ValidationOptions::delta`])
+///   never build: they touch only clusters containing new records, so
+///   paying a full O(n) build there would invert the optimization.
 ///
 /// Verdicts are identical to [`validate_with`] per RHS; only the
 /// violating *witness pairs* (and the work counters) may differ, because
@@ -385,13 +385,12 @@ pub fn validate_cached(
     rhs_set: AttrSet,
     opts: &ValidationOptions,
     scratch: &mut ValidatorScratch,
-    cache: &PliCacheSnapshot,
-) -> (ValidationResult, CacheEffects) {
-    let mut effects = CacheEffects::default();
+    cache: &mut PliCache,
+) -> ValidationResult {
     if lhs.len() < 2 {
         // Single-attribute (or empty) LHS: the PLI itself is the
         // partition; the cache stores only 2-attribute intersections.
-        return (validate_with(rel, lhs, rhs_set, opts, scratch), effects);
+        return validate_with(rel, lhs, rhs_set, opts, scratch);
     }
     assert!(!rhs_set.is_empty(), "validate called with no RHS");
     assert!(lhs.is_disjoint(&rhs_set), "trivial candidate: rhs ∈ lhs");
@@ -400,7 +399,7 @@ pub fn validate_cached(
     // partition (smallest maximal cluster, key order breaking ties),
     // then compare it against the best single-attribute PLI.
     let attrs = lhs.to_vec();
-    let mut best: Option<(AttrSet, &Arc<CachedPartition>)> = None;
+    let mut best: Option<(AttrSet, &CachedPartition)> = None;
     for (i, &a) in attrs.iter().enumerate() {
         for &b in &attrs[i + 1..] {
             let key = AttrSet::from_iter([a, b]);
@@ -425,30 +424,29 @@ pub fn validate_cached(
         // The most refined resident 2-subset beats every single-attribute
         // PLI of the LHS: pivot on it (a cache hit).
         Some((key, part)) if part.max_cluster_len() <= best_single => {
-            effects.hit = Some(key);
             let result = validate_on_partition(rel, lhs, rhs_set, key, part, opts, scratch);
-            (result, effects)
+            cache.record_hit(&key);
+            result
         }
         // A cached subset exists but some single-attribute PLI is more
         // refined: the plain pivot heuristic wins; neither hit nor miss.
-        Some(_) => (validate_with(rel, lhs, rhs_set, opts, scratch), effects),
+        Some(_) => validate_with(rel, lhs, rhs_set, opts, scratch),
         // No 2-subset of the LHS is resident (a miss).
         None => {
-            effects.miss = true;
+            cache.record_miss();
             if opts.min_new_id.is_some() {
-                return (validate_with(rel, lhs, rhs_set, opts, scratch), effects);
+                return validate_with(rel, lhs, rhs_set, opts, scratch);
             }
             // Build the intersection of the LHS's two most refined
             // attributes, validate on it directly (the build *is* the
-            // grouping work), and offer it to the cache.
+            // grouping work), and keep it for later jobs.
             let mut pair = attrs;
             pair.sort_unstable_by_key(|&a| (rel.pli(a).max_cluster_len(), a));
             let (a, b) = (pair[0].min(pair[1]), pair[0].max(pair[1]));
-            let part = Arc::new(CachedPartition::build(rel, a, b));
-            let key = part.key();
-            let result = validate_on_partition(rel, lhs, rhs_set, key, &part, opts, scratch);
-            effects.built = Some((key, part));
-            (result, effects)
+            let part = CachedPartition::build(rel, a, b);
+            let result = validate_on_partition(rel, lhs, rhs_set, part.key(), &part, opts, scratch);
+            cache.insert(part);
+            result
         }
     }
 }
@@ -980,8 +978,8 @@ mod tests {
     }
 
     /// Every arity-2/3 candidate over the paper relation gets the same
-    /// verdicts from the cached path — on a cold snapshot (miss+build)
-    /// and on the warm snapshot the merge produced (hit).
+    /// verdicts from the cached path — on a cold cache (misses and
+    /// builds) and on the warm cache the first round left (hits only).
     #[test]
     fn cached_path_matches_plain_verdicts() {
         use crate::pli_cache::PliCache;
@@ -1009,11 +1007,10 @@ mod tests {
             .collect();
 
         for round in 0..2 {
-            let snap = cache.snapshot();
-            let mut effects = Vec::new();
+            let (before, entries) = (cache.stats(), cache.len());
             for &(x, rhs) in &candidates {
                 let plain = validate_with(&r, x, rhs, &full, &mut scratch);
-                let (cached, eff) = validate_cached(&r, x, rhs, &full, &mut scratch, &snap);
+                let cached = validate_cached(&r, x, rhs, &full, &mut scratch, &mut cache);
                 for (attr, out) in &plain.outcomes {
                     assert_eq!(
                         cached.outcome(*attr).is_valid(),
@@ -1028,30 +1025,21 @@ mod tests {
                     assert!(x.iter().all(|l| ra[l] == rb[l]), "witness agrees on lhs");
                     assert_ne!(ra[attr], rb[attr], "witness disagrees on rhs");
                 }
-                effects.push(eff);
             }
+            let delta = cache.stats().delta_since(&before);
             if round == 0 {
-                assert!(
-                    effects.iter().any(|e| e.built.is_some()),
-                    "cold run builds partitions"
-                );
+                assert!(cache.len() > entries, "cold run builds partitions");
+                assert!(delta.misses > 0);
             } else {
-                assert!(
-                    effects.iter().any(|e| e.hit.is_some()),
-                    "warm run hits the cache"
-                );
-                assert!(
-                    effects.iter().all(|e| e.built.is_none()),
-                    "warm run rebuilds nothing"
-                );
+                assert!(delta.hits > 0, "warm run hits the cache");
+                assert_eq!(delta.misses, 0, "warm run finds a subset every time");
+                assert_eq!(cache.len(), entries, "warm run builds nothing");
             }
-            cache.merge(&effects);
         }
-        assert!(cache.stats().hits > 0 && cache.stats().misses > 0);
     }
 
     /// Cluster-pruned (insert-phase) validations probe but never build:
-    /// the effects record a miss and no partition.
+    /// they count a miss and leave the cache empty.
     #[test]
     fn cached_path_skips_build_under_pruning() {
         use crate::pli_cache::PliCache;
@@ -1059,17 +1047,17 @@ mod tests {
         let mut r = paper();
         let first_new = r.next_id();
         r.insert_row(&["Eve", "Stone", "14482", "Leipzig"]).unwrap();
-        let cache = PliCache::new(usize::MAX);
-        let snap = cache.snapshot();
-        let (res, eff) = validate_cached(
+        let mut cache = PliCache::new(usize::MAX);
+        let res = validate_cached(
             &r,
             lhs(&[0, 2]),
             AttrSet::single(3),
             &ValidationOptions::delta(first_new),
             &mut ValidatorScratch::new(),
-            &snap,
+            &mut cache,
         );
-        assert!(eff.miss && eff.built.is_none() && eff.hit.is_none());
+        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 0));
+        assert!(cache.is_empty(), "a pruned miss builds nothing");
         // Same verdict as the plain pruned validation.
         let plain = validate(
             &r,

@@ -379,8 +379,8 @@ fn cmd_maintain(args: &[String]) -> Result<(), CliError> {
     );
     if stats {
         eprintln!(
-            "# stats: {total_batches} batches in {:?} (delete {:?}, insert {:?}), {} worker thread(s)",
-            totals.wall_time, totals.delete_phase_time, totals.insert_phase_time, totals.threads_used,
+            "# stats: {total_batches} batches in {:?} (delete {:?}, insert {:?})",
+            totals.wall_time, totals.delete_phase_time, totals.insert_phase_time,
         );
         eprintln!(
             "# stats: {} FD + {} non-FD validations ({} skipped by §5.2, {} clusters pruned, {} visited)",
@@ -572,12 +572,11 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     );
     if stats {
         eprintln!(
-            "# stats: {} batches in {:?} (delete {:?}, insert {:?}), {} worker thread(s)",
+            "# stats: {} batches in {:?} (delete {:?}, insert {:?})",
             total_batches - already_applied,
             totals.wall_time,
             totals.delete_phase_time,
             totals.insert_phase_time,
-            totals.threads_used,
         );
         eprintln!(
             "# stats: wal {} bytes appended, {} fsyncs, snapshots {} ms, \

@@ -1,5 +1,5 @@
 //! The PLI-intersection cache is pure acceleration: with an
-//! eviction-heavy budget squeezing the cache on every merge, the cached
+//! eviction-heavy budget squeezing the cache on every insert, the cached
 //! validator must return the same verdicts as the plain one, and the
 //! engine with the cache on must maintain the same covers as with it
 //! off. Witness pairs are allowed to differ (the cached path may pick a
@@ -10,8 +10,8 @@
 use dynfd::common::{AttrSet, RecordId, Schema};
 use dynfd::core::{DynFd, DynFdConfig};
 use dynfd::relation::{
-    validate_many, validate_many_cached, Batch, ChangeOp, DynamicRelation, PliCache, RhsOutcome,
-    ValidationJob, ValidationOptions,
+    validate_cached, validate_with, Batch, ChangeOp, DynamicRelation, PliCache, RhsOutcome,
+    ValidationJob, ValidationOptions, ValidationResult, ValidatorScratch,
 };
 use proptest::prelude::*;
 
@@ -19,7 +19,7 @@ const COLS: usize = 5;
 const DOMAIN: u8 = 3;
 
 /// A budget small enough that a handful of 2-attribute partitions
-/// overflows it: every level merge evicts, so the proptests exercise
+/// overflows it: inserts keep evicting, so the proptests exercise
 /// the build/evict/rebuild churn path rather than the steady state.
 const TINY_BUDGET: usize = 2_048;
 
@@ -57,6 +57,23 @@ fn level_jobs(arity: usize) -> Vec<ValidationJob> {
     jobs
 }
 
+/// Validates `jobs` in order with one scratch, through `cache` when one
+/// is given: the engine's level executor in miniature.
+fn run_jobs(
+    rel: &DynamicRelation,
+    jobs: &[ValidationJob],
+    mut cache: Option<&mut PliCache>,
+) -> Vec<ValidationResult> {
+    let full = ValidationOptions::full();
+    let mut scratch = ValidatorScratch::new();
+    jobs.iter()
+        .map(|&(lhs, rhs)| match cache.as_deref_mut() {
+            Some(cache) => validate_cached(rel, lhs, rhs, &full, &mut scratch, cache),
+            None => validate_with(rel, lhs, rhs, &full, &mut scratch),
+        })
+        .collect()
+}
+
 /// Panics unless `(a, b)` is a genuine violation of `lhs -> rhs` in
 /// `rel`: both alive, agreeing on every LHS attribute, differing on the
 /// RHS.
@@ -72,8 +89,8 @@ fn assert_witness_sound(rel: &DynamicRelation, lhs: AttrSet, rhs: usize, a: Reco
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Verdict equivalence at the validator layer: plain `validate_many`
-    /// versus `validate_many_cached` under an eviction-heavy budget,
+    /// Verdict equivalence at the validator layer: plain `validate_with`
+    /// versus `validate_cached` under an eviction-heavy budget,
     /// both cold (building entries) and warm (hitting / re-building
     /// whatever survived eviction).
     #[test]
@@ -81,13 +98,12 @@ proptest! {
         rows in proptest::collection::vec(arb_row(), 1..40),
     ) {
         let rel = DynamicRelation::from_rows(Schema::anonymous("c", COLS), &rows).unwrap();
-        let full = ValidationOptions::full();
         let mut cache = PliCache::new(TINY_BUDGET);
         for arity in [2usize, 3] {
             let jobs = level_jobs(arity);
-            let plain = validate_many(&rel, &jobs, &full, 1);
+            let plain = run_jobs(&rel, &jobs, None);
             for round in 0..2 {
-                let cached = validate_many_cached(&rel, &jobs, &full, 1, &mut cache);
+                let cached = run_jobs(&rel, &jobs, Some(&mut cache));
                 prop_assert_eq!(plain.len(), cached.len());
                 for (p, c) in plain.iter().zip(&cached) {
                     prop_assert_eq!(p.lhs, c.lhs);
@@ -109,7 +125,7 @@ proptest! {
                 }
             }
         }
-        // The eviction pass runs at every merge, so the cache can never
+        // The eviction pass runs at every insert, so the cache can never
         // settle above its budget.
         prop_assert!(cache.bytes() <= TINY_BUDGET);
     }
@@ -177,9 +193,8 @@ fn tiny_budget_forces_evictions() {
     let rel = DynamicRelation::from_rows(Schema::anonymous("e", COLS), &rows).unwrap();
     let mut cache = PliCache::new(TINY_BUDGET);
     let jobs = level_jobs(2);
-    let full = ValidationOptions::full();
     for _ in 0..2 {
-        let _ = validate_many_cached(&rel, &jobs, &full, 1, &mut cache);
+        let _ = run_jobs(&rel, &jobs, Some(&mut cache));
     }
     let stats = cache.stats();
     assert!(stats.misses > 0, "no builds at all: {stats:?}");

@@ -3,16 +3,13 @@
 //! retained row-oriented reference store
 //! ([`RowStoreRelation`](dynfd::relation::RowStoreRelation)) must yield
 //! bit-identical records, validation verdicts, *and violation
-//! witnesses* — and the full engine on top of the columnar layout must
-//! stay thread-count invariant (covers, §5.2 annotations, and the
-//! per-batch validation job counts) at 1, 2, and 8 threads.
+//! witnesses*.
 //!
 //! This is the gate for the columnar-store PR: slot reuse, free-list
 //! order, and dense-PLI iteration order may differ internally, but
 //! nothing observable may move.
 
-use dynfd::common::{AttrSet, Fd, RecordId, Schema};
-use dynfd::core::{BatchResult, DynFd, DynFdConfig};
+use dynfd::common::{AttrSet, RecordId, Schema};
 use dynfd::relation::{
     validate, validate_rowstore, Batch, ChangeOp, DynamicRelation, RowStoreRelation,
     ValidationOptions,
@@ -105,24 +102,6 @@ fn assert_layouts_agree(initial: &[Vec<String>], batches: &[Batch], schema: Sche
     }
 }
 
-/// The §5.2 annotation dump plus per-batch results of one engine replay.
-type Replay = (Vec<BatchResult>, Vec<(Fd, (RecordId, RecordId))>, DynFd);
-
-fn replay_engine(trace: &Trace, threads: usize) -> Replay {
-    let config = DynFdConfig {
-        parallelism: threads,
-        ..DynFdConfig::default()
-    };
-    let mut dynfd = DynFd::new(trace.to_relation(), config);
-    let results: Vec<BatchResult> = trace
-        .to_batches()
-        .iter()
-        .map(|b| dynfd.apply_batch(b).expect("trace batches apply cleanly"))
-        .collect();
-    let annotations = dynfd.violation_annotations();
-    (results, annotations, dynfd)
-}
-
 #[test]
 fn testkit_traces_replay_identically_across_layouts() {
     for case in 0..6 {
@@ -134,45 +113,6 @@ fn testkit_traces_replay_identically_across_layouts() {
             trace.schema.clone(),
             &label,
         );
-    }
-}
-
-#[test]
-fn engine_on_columnar_store_is_thread_count_invariant() {
-    // Covers, annotations, and the dispatched job counts must not
-    // depend on the worker count — the columnar validator feeding the
-    // parallel fan-out is deterministic per job.
-    for case in 0..4 {
-        let trace = Trace::for_case(29, case);
-        let seq = replay_engine(&trace, 1);
-        seq.2
-            .verify_consistency()
-            .expect("sequential replay consistent");
-        for threads in [2usize, 8] {
-            let par = replay_engine(&trace, threads);
-            let label = format!("case {case} ({}), {threads} threads", trace.profile);
-            assert_eq!(seq.1, par.1, "{label}: annotations diverged");
-            assert_eq!(
-                seq.2.positive_cover(),
-                par.2.positive_cover(),
-                "{label}: positive covers diverged"
-            );
-            assert_eq!(
-                seq.2.negative_cover(),
-                par.2.negative_cover(),
-                "{label}: negative covers diverged"
-            );
-            assert_eq!(seq.0.len(), par.0.len());
-            for (i, (s, p)) in seq.0.iter().zip(&par.0).enumerate() {
-                assert_eq!(s.added, p.added, "{label}: added FDs, batch {i}");
-                assert_eq!(s.removed, p.removed, "{label}: removed FDs, batch {i}");
-                assert_eq!(
-                    s.metrics.validation_jobs(),
-                    p.metrics.validation_jobs(),
-                    "{label}: validation job count diverged at batch {i}"
-                );
-            }
-        }
     }
 }
 
@@ -195,8 +135,8 @@ fn arb_script() -> impl Strategy<Value = Vec<ScriptOp>> {
     proptest::collection::vec(
         prop_oneof![
             2 => arb_row().prop_map(ScriptOp::Insert),
-            // Deletes weighted up relative to the determinism suite:
-            // slot reuse is the hazard this gate exists for.
+            // Deletes weighted up: slot reuse is the hazard this gate
+            // exists for.
             2 => (0usize..32).prop_map(ScriptOp::DeleteNth),
             1 => ((0usize..32), arb_row()).prop_map(|(i, r)| ScriptOp::UpdateNth(i, r)),
         ],

@@ -1,14 +1,12 @@
 //! Property tests for the extension surface: change-log round-trips,
-//! Armstrong-closure laws, batcher conservation, and the soundness of
+//! Armstrong-closure laws, batch chunking, and the soundness of
 //! the §8 prunings (results identical with and without them).
 
 use dynfd::common::{AttrSet, Fd, RecordId, Schema};
 use dynfd::core::{DynFd, DynFdConfig};
 use dynfd::lattice::closure::{attribute_closure, implies, is_superkey};
 use dynfd::lattice::FdTree;
-use dynfd::relation::{
-    parse_changelog, write_changelog, Batch, Batcher, ChangeOp, DynamicRelation,
-};
+use dynfd::relation::{parse_changelog, write_changelog, Batch, ChangeOp, DynamicRelation};
 use proptest::prelude::*;
 
 const ARITY: usize = 5;
@@ -65,24 +63,22 @@ proptest! {
     }
 
     #[test]
-    fn batcher_conserves_operations(
+    fn chunking_conserves_operations(
         ops in proptest::collection::vec(arb_op(), 0..40),
         capacity in 1usize..9,
     ) {
-        let mut batcher = Batcher::new(capacity);
+        let batches = Batch::chunk(ops.clone(), capacity);
         let mut emitted: Vec<ChangeOp> = Vec::new();
-        for op in &ops {
-            if let Some(batch) = batcher.push(op.clone()) {
+        for (i, batch) in batches.iter().enumerate() {
+            prop_assert!(!batch.is_empty(), "no empty batch");
+            if i + 1 < batches.len() {
                 prop_assert_eq!(batch.len(), capacity, "only full batches mid-stream");
-                emitted.extend(batch.ops().iter().cloned());
+            } else {
+                prop_assert!(batch.len() <= capacity);
             }
-        }
-        if let Some(tail) = batcher.flush() {
-            prop_assert!(tail.len() <= capacity);
-            emitted.extend(tail.ops().iter().cloned());
+            emitted.extend(batch.ops().iter().cloned());
         }
         prop_assert_eq!(emitted, ops, "order and content preserved");
-        prop_assert_eq!(batcher.pending(), 0);
     }
 
     #[test]
