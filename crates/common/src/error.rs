@@ -30,12 +30,6 @@ pub enum DynError {
         /// The configured distinct-value capacity.
         capacity: usize,
     },
-    /// A row carried a null (empty-string) value in a relation whose
-    /// null policy rejects them.
-    NullValue {
-        /// The column holding the offending null.
-        attr: usize,
-    },
     /// Input data could not be parsed (CSV reader, change-log reader).
     Parse(String),
     /// An I/O error, stringified (keeps the error type `Clone + Eq`).
@@ -61,12 +55,6 @@ impl fmt::Display for DynError {
                 write!(
                     f,
                     "column {attr} dictionary would exceed its capacity of {capacity} distinct values"
-                )
-            }
-            DynError::NullValue { attr } => {
-                write!(
-                    f,
-                    "column {attr} holds a null value but the null policy rejects nulls"
                 )
             }
             DynError::Parse(msg) => write!(f, "parse error: {msg}"),

@@ -18,7 +18,7 @@ pub type DynFdResult<T> = std::result::Result<T, DynFdError>;
 /// Errors surfaced by [`DynFd::apply_batch`](crate::DynFd::apply_batch)
 /// and the CLI built on top of it.
 ///
-/// The first seven variants mirror [`DynError`] (batch validation and
+/// The first six variants mirror [`DynError`] (batch validation and
 /// input handling); the last two are engine-internal failures. All of
 /// them leave the engine in its pre-batch state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,12 +43,6 @@ pub enum DynFdError {
         attr: usize,
         /// The configured distinct-value capacity.
         capacity: usize,
-    },
-    /// A row carried a null (empty-string) value in a relation whose
-    /// null policy rejects them.
-    NullValue {
-        /// The column holding the offending null.
-        attr: usize,
     },
     /// Input data could not be parsed (CSV reader, change-log reader).
     Parse(String),
@@ -102,10 +96,10 @@ impl DynFdError {
 
     /// A stable process exit code per variant, for scripting against the
     /// CLI: `3` I/O, `4` parse, `5` unknown record, `6` duplicate record,
-    /// `7` arity mismatch, `8` dictionary overflow, `9` null value, `10`
-    /// internal failure (panic or invariant breach), `11` corrupt
-    /// write-ahead log, `12` corrupt snapshot. Code `2` is reserved for
-    /// CLI usage errors and `1` for generic failures.
+    /// `7` arity mismatch, `8` dictionary overflow, `10` internal
+    /// failure (panic or invariant breach), `11` corrupt write-ahead log,
+    /// `12` corrupt snapshot. Code `2` is reserved for CLI usage errors
+    /// and `1` for generic failures; `9` is unassigned.
     pub fn exit_code(&self) -> u8 {
         match self {
             DynFdError::Io(_) => 3,
@@ -114,7 +108,6 @@ impl DynFdError {
             DynFdError::DuplicateRecord(_) => 6,
             DynFdError::ArityMismatch { .. } => 7,
             DynFdError::DictionaryOverflow { .. } => 8,
-            DynFdError::NullValue { .. } => 9,
             DynFdError::PhasePanicked { .. } | DynFdError::InvariantBreach { .. } => 10,
             DynFdError::WalCorrupt { .. } => 11,
             DynFdError::SnapshotCorrupt { .. } => 12,
@@ -157,12 +150,6 @@ impl fmt::Display for DynFdError {
                     "column {attr} dictionary would exceed its capacity of {capacity} distinct values"
                 )
             }
-            DynFdError::NullValue { attr } => {
-                write!(
-                    f,
-                    "column {attr} holds a null value but the null policy rejects nulls"
-                )
-            }
             DynFdError::Parse(msg) => write!(f, "parse error: {msg}"),
             DynFdError::Io(msg) => write!(f, "i/o error: {msg}"),
             DynFdError::PhasePanicked { phase, detail } => {
@@ -198,7 +185,6 @@ impl From<DynError> for DynFdError {
             DynError::DictionaryOverflow { attr, capacity } => {
                 DynFdError::DictionaryOverflow { attr, capacity }
             }
-            DynError::NullValue { attr } => DynFdError::NullValue { attr },
             DynError::Parse(msg) => DynFdError::Parse(msg),
             DynError::Io(msg) => DynFdError::Io(msg),
         }
@@ -237,7 +223,6 @@ mod tests {
                 attr: 0,
                 capacity: 4,
             },
-            DynFdError::NullValue { attr: 0 },
             DynFdError::PhasePanicked {
                 phase: "insert-phase",
                 detail: "x".into(),

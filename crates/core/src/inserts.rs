@@ -137,7 +137,7 @@ impl DynFd {
             // Lines 16-17: progressive violation search when the lattice
             // traversal became inefficient.
             if total > 0 && invalid_count as f64 / total as f64 > INEFFICIENCY_THRESHOLD {
-                self.violation_search(&applied.inserted, &applied.inserted_slots, metrics)?;
+                self.violation_search(&applied.inserted_slots, first_new, metrics)?;
             }
             level += 1;
         }

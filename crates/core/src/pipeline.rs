@@ -234,7 +234,7 @@ impl DynFd {
         if self.cache_enabled() {
             let deleted: Vec<_> = undo.deleted_rows().collect();
             self.pli_cache
-                .apply_batch(&self.rel, &deleted, &applied.inserted);
+                .apply_batch(&self.rel, &deleted, &applied.inserted_slots);
         }
         if self.cache_budget() < self.config.pli_cache_bytes {
             metrics.degraded_batches = 1;

@@ -29,47 +29,34 @@ use crate::config::{SearchMode, INEFFICIENCY_THRESHOLD};
 use crate::errors::{DynFdError, DynFdResult};
 use crate::{BatchMetrics, DynFd};
 use dynfd_common::{AttrSet, RecordId};
-use dynfd_relation::agree_set;
+use dynfd_relation::agree_set_at;
 use std::collections::{BTreeSet, HashSet};
 
 /// A PLI cluster prepared for windowed comparisons.
 struct SortedCluster {
-    /// Cluster members, similarity-sorted (lexicographically by
-    /// compressed signature).
-    members: Vec<RecordId>,
+    /// Cluster members (arena slots), similarity-sorted
+    /// (lexicographically by compressed signature).
+    members: Vec<u32>,
     /// `is_new[i]` marks members inserted by the current batch.
     is_new: Vec<bool>,
 }
 
 impl DynFd {
-    /// Runs the violation search for the given batch of inserted records
-    /// (Algorithm 2 line 17), addressed by record id *and* arena slot —
-    /// the slot-based delta of [`AppliedBatch`](dynfd_relation::AppliedBatch)
-    /// lets the value collection below read each new row straight out of
-    /// the columnar arena instead of resolving rid → slot per attribute.
-    /// Discovered agree sets update both covers via Algorithm 3.
+    /// Runs the violation search for the batch's surviving inserts
+    /// (Algorithm 2 line 17), given by their arena slots
+    /// ([`AppliedBatch::inserted_slots`](dynfd_relation::AppliedBatch::inserted_slots))
+    /// and the batch's first record id. The search sorts and compares
+    /// slots; a pair becomes record ids only when it is recorded as a
+    /// witness. Discovered agree sets update both covers via
+    /// Algorithm 3.
     pub(crate) fn violation_search(
         &mut self,
-        inserted: &[RecordId],
         inserted_slots: &[u32],
+        first_new: RecordId,
         metrics: &mut BatchMetrics,
     ) -> DynFdResult<()> {
         let arity = self.rel.arity();
-        // A slot is taken only while its rid still maps to it — same
-        // tolerance the rid-based filter had for records that vanished
-        // between batch application and the search.
-        let new_slots: Vec<u32> = inserted
-            .iter()
-            .zip(inserted_slots)
-            .filter(|&(&rid, &slot)| self.rel.slot_of(rid) == Some(slot))
-            .map(|(_, &slot)| slot)
-            .collect();
-        let new_ids: BTreeSet<RecordId> = inserted
-            .iter()
-            .copied()
-            .filter(|&r| self.rel.contains(r))
-            .collect();
-        if new_ids.is_empty() {
+        if inserted_slots.is_empty() {
             return Ok(());
         }
 
@@ -78,12 +65,14 @@ impl DynFd {
         // (attr, value) cluster is collected once even if several new
         // records share it.
         let rel = &self.rel;
+        let slot_rids = rel.slot_rids();
         let mut clusters: Vec<SortedCluster> = Vec::new();
         for attr in 0..arity {
-            let mut values: BTreeSet<u32> = BTreeSet::new();
-            for &slot in &new_slots {
-                values.insert(rel.row_at_slot(slot).get(attr));
-            }
+            let column = rel.column(attr);
+            let values: BTreeSet<u32> = inserted_slots
+                .iter()
+                .map(|&slot| column[slot as usize])
+                .collect();
             for value in values {
                 let cluster = rel.pli(attr).cluster(value).ok_or_else(|| {
                     DynFdError::invariant(
@@ -94,17 +83,16 @@ impl DynFd {
                 if cluster.len() < 2 {
                     continue;
                 }
-                // Clusters hold arena slots; the windowed scan wants
-                // record ids (agree sets and witnesses are rid-level
-                // artifacts).
-                let mut members: Vec<RecordId> =
-                    cluster.iter().map(|&s| rel.rid_at_slot(s)).collect();
-                members.sort_by(|&x, &y| {
-                    rel.compressed(x)
-                        .expect("cluster member is live")
-                        .cmp(&rel.compressed(y).expect("cluster member is live"))
-                });
-                let is_new = members.iter().map(|m| new_ids.contains(m)).collect();
+                // A stable sort of the rid-ordered cluster: members with
+                // equal rows stay in rid order. Ids are assigned
+                // monotonically, so the batch's records are those at or
+                // past its first id.
+                let mut members = cluster.to_vec();
+                members.sort_by(|&x, &y| rel.row_at_slot(x).cmp(&rel.row_at_slot(y)));
+                let is_new = members
+                    .iter()
+                    .map(|&m| slot_rids[m as usize] >= first_new)
+                    .collect();
                 clusters.push(SortedCluster { members, is_new });
             }
         }
@@ -137,12 +125,15 @@ impl DynFd {
                     }
                     let (a, b) = (c.members[i], c.members[i + dist]);
                     comparisons += 1;
-                    let agree = agree_set(&self.rel, a, b).expect("cluster members are live");
+                    let agree = agree_set_at(&self.rel, a, b);
                     if agree.len() == arity {
                         continue; // duplicates witness nothing
                     }
-                    if applied.insert(agree) && self.apply_non_fd_witness(agree, (a, b)) {
-                        learned += 1;
+                    if applied.insert(agree) {
+                        let pair = (self.rel.rid_at_slot(a), self.rel.rid_at_slot(b));
+                        if self.apply_non_fd_witness(agree, pair) {
+                            learned += 1;
+                        }
                     }
                 }
             }

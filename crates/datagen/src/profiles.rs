@@ -143,17 +143,6 @@ impl DatasetProfile {
         }
     }
 
-    /// A copy rescaled so the *initial* table holds `rows` rows, with
-    /// the change history stretched by the same factor. The scale
-    /// benchmark uses this to push every paper shape to the same
-    /// working-set size regardless of the profile's native length;
-    /// callers that only need a change-stream prefix (the fields are
-    /// public) should cap `changes` after scaling rather than generate
-    /// tens of millions of unused operations.
-    pub fn scaled_to_rows(&self, rows: usize) -> Self {
-        self.scaled(rows as f64 / self.initial_rows as f64)
-    }
-
     /// A copy with rows/changes scaled by `factor` (used by the harness's
     /// `--scale` flag to shrink every experiment proportionally).
     pub fn scaled(&self, factor: f64) -> Self {

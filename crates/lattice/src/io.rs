@@ -91,14 +91,6 @@ pub fn read_cover(text: &str, schema: &Schema) -> Result<FdTree> {
     Ok(fds)
 }
 
-/// Reads and parses a cover file. File-system failures surface as the
-/// typed [`DynError::Io`] (CLI exit code 3), parse failures as
-/// [`DynError::Parse`] — never a panic, whatever the file holds.
-pub fn read_cover_file(path: &Path, schema: &Schema) -> Result<FdTree> {
-    let text = std::fs::read_to_string(path)?;
-    read_cover(&text, schema)
-}
-
 /// Serializes a cover and writes it to `path`, surfacing file-system
 /// failures as the typed [`DynError::Io`].
 pub fn write_cover_file(path: &Path, fds: &FdTree, schema: &Schema) -> Result<()> {

@@ -1,7 +1,7 @@
 //! Atomic full-state snapshots.
 //!
 //! A snapshot is the logical state of one engine at one batch sequence
-//! number: schema, null policy, the id counter, the dictionaries
+//! number: schema, the id counter, the dictionaries
 //! (including dead codes, so value codes stay stable across a restore),
 //! the live records in record-id order, the positive cover (in the
 //! human-readable `lattice::io` text format), and the §5.2 violation
@@ -13,7 +13,7 @@
 //! saved: no observable behaviour depends on it, because PLI clusters
 //! are kept rid-sorted.
 //!
-//! File layout: `magic "DYNFDSN3" | payload_len:u64 LE | crc:u32 LE |
+//! File layout: `magic "DYNFDSN4" | payload_len:u64 LE | crc:u32 LE |
 //! payload`. Written to `snapshot.tmp`, fsynced, then atomically
 //! renamed to `snapshot-{seq:016x}.snap` and the directory fsynced — a
 //! crash leaves either the old snapshot set or the new one, never a
@@ -25,14 +25,14 @@ use crate::crc::crc32;
 use dynfd_common::{AttrSet, Fd, RecordId, Schema, MAX_ATTRS};
 use dynfd_core::DynFd;
 use dynfd_lattice::{io as cover_io, FdTree};
-use dynfd_relation::{DynamicRelation, NullPolicy, ValueId};
+use dynfd_relation::{DynamicRelation, ValueId};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::abort;
 
 /// File magic, first 8 bytes of every snapshot.
-pub const SNAP_MAGIC: [u8; 8] = *b"DYNFDSN3";
+pub const SNAP_MAGIC: [u8; 8] = *b"DYNFDSN4";
 
 /// Name of the in-progress snapshot file (atomically renamed when
 /// complete; a leftover one marks a crash mid-snapshot).
@@ -74,11 +74,6 @@ pub fn encode_snapshot(seq: u64, engine: &DynFd) -> Vec<u8> {
     for column in schema.columns() {
         codec::put_str(&mut out, column);
     }
-    // Null policy.
-    out.push(match rel.null_policy() {
-        NullPolicy::AllowAll => 0,
-        NullPolicy::RejectNulls => 1,
-    });
     // Surrogate-id counter.
     codec::put_u64(&mut out, rel.next_id().0);
     // Dictionaries, dead codes included: codes are positional.
@@ -148,11 +143,6 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<SnapshotState, String> {
         }
     }
     let schema = Schema::new(name, columns);
-    let null_policy = match r.u8()? {
-        0 => NullPolicy::AllowAll,
-        1 => NullPolicy::RejectNulls,
-        other => return Err(format!("unknown null-policy tag {other}")),
-    };
     let next_id = RecordId(r.u64()?);
     let mut dictionaries = Vec::with_capacity(arity);
     for attr in 0..arity {
@@ -183,7 +173,7 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<SnapshotState, String> {
         records.push((rid, codes.into_boxed_slice()));
     }
     // from_parts revalidates codes, rids, and the id counter.
-    let rel = DynamicRelation::from_parts(schema, null_policy, next_id, dictionaries, records)
+    let rel = DynamicRelation::from_parts(schema, next_id, dictionaries, records)
         .map_err(|e| format!("relation: {e}"))?;
     let fds = cover_io::read_cover(&r.str()?, rel.schema())
         .map_err(|e| format!("positive cover: {e}"))?;

@@ -54,9 +54,9 @@ pub use csv::{parse_csv, read_csv_file, CsvTable};
 pub use dictionary::{Dictionary, ValueId, DICTIONARY_CAPACITY};
 pub use pli::Pli;
 pub use pli_cache::{CacheStats, CachedPartition, PliCache};
-pub use relation::{DynamicRelation, NullPolicy, RowRef, UndoLog};
+pub use relation::{DynamicRelation, RowRef, UndoLog};
 pub use rowstore::{validate_rowstore, RowStoreRelation};
 pub use validate::{
-    agree_set, validate, validate_cached, validate_fd, validate_with, RhsOutcome, ValidationJob,
-    ValidationOptions, ValidationResult, ValidationStats, ValidatorScratch,
+    agree_set, agree_set_at, validate, validate_cached, validate_fd, validate_with, RhsOutcome,
+    ValidationJob, ValidationOptions, ValidationResult, ValidationStats, ValidatorScratch,
 };

@@ -18,24 +18,28 @@
 //!   [`ValidatorScratch`](crate::ValidatorScratch) group maps — so
 //!   cluster membership is exact (codes, not hashes) and a record's
 //!   group is found with one signature-map probe.
+//! * A cluster is a run of arena slots in record-id order, exactly like
+//!   a [`Pli`](crate::Pli) cluster, so the validator scans a cached
+//!   pivot with the same loop and the same last-member pruning test.
 //!
 //! # Maintenance
 //!
-//! Entries are **patched in place** per batch: a deleted record is
-//! removed from its cluster (clusters demote to singletons at size 1),
-//! an inserted record joins the cluster of its signature (singletons
-//! promote to clusters at size 2). A deleted record is no longer in the
-//! relation, so its signature comes from the codes the batch's
-//! [`UndoLog`](crate::UndoLog) kept for it
-//! ([`UndoLog::deleted_rows`](crate::UndoLog::deleted_rows)); the
+//! Entries are **patched in place** per batch: a deleted record's slot
+//! is removed from its cluster (clusters demote to singletons at size
+//! 1), an inserted record's slot joins the cluster of its signature
+//! (singletons promote to clusters at size 2). A deleted record is no
+//! longer in the relation, so its slot and signature come from the
+//! batch's [`UndoLog`](crate::UndoLog)
+//! ([`UndoLog::deleted_rows`](crate::UndoLog::deleted_rows)); the slot
+//! is found by value, because an insert of the same batch may already
+//! have reused it. Inserted records are newer than every tracked one,
+//! so they are appended and clusters stay in record-id order. The
 //! largest-cluster size is recomputed at most once per entry per patch,
-//! after the deletes. Only when a record referenced by the patch cannot
-//! be resolved — a deleted record the entry does not hold, or an
-//! inserted one the relation does not — which indicates the entry and
-//! the relation have diverged, e.g. after an external rebuild, is the
-//! entry **invalidated** instead. A rolled-back batch clears the whole
-//! cache: entries were already patched to the state the rollback threw
-//! away.
+//! after the deletes. Only when a deleted slot is not in the group of
+//! its signature — the entry and the relation have diverged, e.g.
+//! after an external rebuild — is the entry **invalidated** instead. A
+//! rolled-back batch clears the whole cache: entries were already
+//! patched to the state the rollback threw away.
 //!
 //! # Probing
 //!
@@ -57,27 +61,27 @@
 
 use crate::dictionary::ValueId;
 use crate::relation::DynamicRelation;
-use dynfd_common::{AttrSet, RecordId};
+use dynfd_common::AttrSet;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Where the records of one signature live in a [`CachedPartition`].
 #[derive(Clone, Copy, Debug)]
 enum Group {
-    /// A non-singleton cluster: its slot in `clusters`.
+    /// A non-singleton cluster: its index in `clusters`.
     Cluster(u32),
-    /// The one record carrying the signature.
-    Single(RecordId),
+    /// The arena slot of the one record carrying the signature.
+    Single(u32),
 }
 
 /// One memoized two-attribute intersected partition.
 ///
-/// Holds every live record of the relation at build time, split into
-/// non-singleton *clusters* (records sharing both value codes) and
-/// *singletons*. One map from the packed `u64` signature — code of the
-/// smaller attribute in the high half — to the signature's cluster or
-/// single record indexes both, so a per-record patch is one map probe
-/// plus an O(log cluster) search, without touching the relation's PLIs.
+/// Holds the arena slot of every live record, split into non-singleton
+/// *clusters* (records sharing both value codes) and *singletons*. One
+/// map from the packed `u64` signature — code of the smaller attribute
+/// in the high half — to the signature's cluster or single slot indexes
+/// both, so a per-record patch is one map probe plus a scan of one
+/// cluster, without touching the relation's PLIs.
 #[derive(Clone, Debug)]
 pub struct CachedPartition {
     /// Smaller attribute of the key (high half of the signature).
@@ -85,9 +89,9 @@ pub struct CachedPartition {
     /// Larger attribute of the key (low half of the signature).
     b: usize,
     /// Non-singleton clusters with their signature, in deterministic
-    /// build/creation order; members sorted ascending.
-    clusters: Vec<(u64, Vec<RecordId>)>,
-    /// Signature → its cluster or its single record.
+    /// build/creation order; members are arena slots in record-id order.
+    clusters: Vec<(u64, Vec<u32>)>,
+    /// Signature → its cluster or its single slot.
     groups: HashMap<u64, Group>,
     /// Total records tracked (clustered + singleton).
     members: usize,
@@ -117,14 +121,12 @@ impl CachedPartition {
             max_len: 0,
         };
         let col_b = rel.column(b);
-        let slot_rids = rel.slot_rids();
         for (va, cluster) in rel.pli(a).iter() {
             let hi = (va as u64) << 32;
+            // PLI clusters iterate in rid order, so every group receives
+            // its slots in rid order too.
             for &slot in cluster {
-                // Streams two flat arrays per member (the b-column and
-                // the slot→rid table); clusters iterate in rid order, so
-                // creation order matches the row-store build exactly.
-                part.add_member(hi | col_b[slot as usize] as u64, slot_rids[slot as usize]);
+                part.add_member(hi | col_b[slot as usize] as u64, slot);
             }
         }
         part
@@ -137,9 +139,10 @@ impl CachedPartition {
         key
     }
 
-    /// Iterates the non-singleton clusters (members ascending by id) in
-    /// deterministic creation order.
-    pub fn clusters(&self) -> impl Iterator<Item = &[RecordId]> {
+    /// Iterates the non-singleton clusters — arena slots in record-id
+    /// order, like a [`Pli`](crate::Pli) cluster — in deterministic
+    /// creation order.
+    pub fn clusters(&self) -> impl Iterator<Item = &[u32]> {
         self.clusters.iter().map(|(_, c)| c.as_slice())
     }
 
@@ -164,9 +167,11 @@ impl CachedPartition {
     }
 
     /// Approximate resident size in bytes, for budget accounting. Counts
-    /// the id payloads plus amortized hash-map and `Vec` overheads; the
-    /// exact allocator numbers don't matter as long as the measure is
-    /// monotone in the real footprint.
+    /// the member payloads plus amortized hash-map and `Vec` overheads;
+    /// the exact allocator numbers don't matter as long as the measure is
+    /// monotone in the real footprint. A clustered member counts 8 B
+    /// though a slot takes 4 B: budgets, evictions and quota trips are
+    /// tuned against this estimate.
     pub fn approx_bytes(&self) -> usize {
         let clustered = self.member_count() - self.singleton_count();
         128 + self.groups.len() * 24 + self.clusters.len() * 56 + clustered * 8
@@ -177,72 +182,66 @@ impl CachedPartition {
         (codes[self.a] as u64) << 32 | codes[self.b] as u64
     }
 
-    /// Adds `rid` with signature `sig`: joins its cluster, promotes a
-    /// matching singleton, or starts a new singleton.
-    fn add_member(&mut self, sig: u64, rid: RecordId) {
+    /// Adds the record at `slot` with signature `sig`: joins its
+    /// cluster, promotes a matching singleton, or starts a new
+    /// singleton. The record must be newer than every tracked record of
+    /// its group, so appending keeps the group in record-id order.
+    fn add_member(&mut self, sig: u64, slot: u32) {
         self.members += 1;
         let len = match self.groups.entry(sig) {
             Entry::Occupied(mut group) => match *group.get() {
-                Group::Cluster(slot) => {
-                    let cluster = &mut self.clusters[slot as usize].1;
-                    // New ids are assigned monotonically, so this is a
-                    // push in the common case; the binary search keeps
-                    // re-builds after out-of-order restores correct too.
-                    if let Err(pos) = cluster.binary_search(&rid) {
-                        cluster.insert(pos, rid);
-                    }
+                Group::Cluster(idx) => {
+                    let cluster = &mut self.clusters[idx as usize].1;
+                    cluster.push(slot);
                     cluster.len()
                 }
                 Group::Single(prev) => {
                     group.insert(Group::Cluster(self.clusters.len() as u32));
-                    let pair = if prev < rid {
-                        vec![prev, rid]
-                    } else {
-                        vec![rid, prev]
-                    };
-                    self.clusters.push((sig, pair));
+                    self.clusters.push((sig, vec![prev, slot]));
                     2
                 }
             },
             Entry::Vacant(group) => {
-                group.insert(Group::Single(rid));
+                group.insert(Group::Single(slot));
                 1
             }
         };
         self.max_len = self.max_len.max(len);
     }
 
-    /// Removes `rid` from the group of `sig`, demoting its cluster to a
+    /// Removes `slot` from the group of `sig`, demoting its cluster to a
     /// singleton when only one member remains. Returns the size the
-    /// group had before the removal, or `None` if the record was not
+    /// group had before the removal, or `None` if the slot was not
     /// tracked under `sig`. Leaves `max_len` to the caller, which
     /// recomputes it once after a run of removals.
-    fn remove_member(&mut self, sig: u64, rid: RecordId) -> Option<usize> {
+    fn remove_member(&mut self, sig: u64, slot: u32) -> Option<usize> {
         let Entry::Occupied(mut group) = self.groups.entry(sig) else {
             return None;
         };
-        let slot = match *group.get() {
-            Group::Single(single) if single == rid => {
+        let idx = match *group.get() {
+            Group::Single(single) if single == slot => {
                 group.remove();
                 self.members -= 1;
                 return Some(1);
             }
             Group::Single(_) => return None,
-            Group::Cluster(slot) => slot as usize,
+            Group::Cluster(idx) => idx as usize,
         };
-        let cluster = &mut self.clusters[slot].1;
-        let pos = cluster.binary_search(&rid).ok()?;
+        let cluster = &mut self.clusters[idx].1;
+        // By value: the slot may already hold a newer record, so its
+        // record id no longer says where it sits.
+        let pos = cluster.iter().position(|&s| s == slot)?;
         cluster.remove(pos);
         self.members -= 1;
         if cluster.len() > 1 {
             return Some(cluster.len() + 1);
         }
         group.insert(Group::Single(cluster[0]));
-        self.clusters.swap_remove(slot);
-        if let Some(&(moved_sig, _)) = self.clusters.get(slot) {
+        self.clusters.swap_remove(idx);
+        if let Some(&(moved_sig, _)) = self.clusters.get(idx) {
             // Re-point the cluster that swap_remove moved into the
-            // vacated slot.
-            self.groups.insert(moved_sig, Group::Cluster(slot as u32));
+            // vacated index.
+            self.groups.insert(moved_sig, Group::Cluster(idx as u32));
         }
         Some(2)
     }
@@ -254,20 +253,21 @@ impl CachedPartition {
             .max(usize::from(self.singleton_count() > 0));
     }
 
-    /// Patches the partition for one applied batch: `deleted` records
-    /// (with their pre-batch codes) leave their groups, then `inserted`
-    /// records (live in `rel`) join the group of their signature.
-    /// Returns `false` — leaving the partition half-patched, for the
-    /// caller to drop — when a record cannot be resolved.
+    /// Patches the partition for one applied batch: the slots of
+    /// `deleted` records (with their pre-batch codes) leave their
+    /// groups, then the `inserted` slots (live in `rel`) join the group
+    /// of their signature. Returns `false` — leaving the partition
+    /// half-patched, for the caller to drop — when a deleted slot is not
+    /// in the group of its signature.
     fn patch(
         &mut self,
         rel: &DynamicRelation,
-        deleted: &[(RecordId, &[ValueId])],
-        inserted: &[RecordId],
+        deleted: &[(u32, &[ValueId])],
+        inserted: &[u32],
     ) -> bool {
         let mut max_shrunk = false;
-        for &(rid, codes) in deleted {
-            match self.remove_member(self.sig_of(codes), rid) {
+        for &(slot, codes) in deleted {
+            match self.remove_member(self.sig_of(codes), slot) {
                 Some(len) => max_shrunk |= len == self.max_len,
                 None => return false,
             }
@@ -275,11 +275,10 @@ impl CachedPartition {
         if max_shrunk {
             self.recompute_max();
         }
-        for &rid in inserted {
-            match rel.packed_sig(rid, self.a, self.b) {
-                Some(sig) => self.add_member(sig, rid),
-                None => return false,
-            }
+        let (col_a, col_b) = (rel.column(self.a), rel.column(self.b));
+        for &slot in inserted {
+            let s = slot as usize;
+            self.add_member((col_a[s] as u64) << 32 | col_b[s] as u64, slot);
         }
         true
     }
@@ -422,18 +421,18 @@ impl PliCache {
     }
 
     /// Patches every entry for one applied batch: `deleted` records
-    /// (pre-batch records with the codes they were deleted with, as
-    /// [`UndoLog::deleted_rows`](crate::UndoLog::deleted_rows) yields
-    /// them) leave their clusters, `inserted` records (still live in
-    /// `rel`) join the cluster of their signature. An entry whose patch
-    /// cannot resolve a record — a deleted one it does not hold, or an
-    /// inserted one the relation does not — is invalidated. Ends with an
-    /// eviction pass (inserts grow entries).
+    /// (the slots pre-batch records were deleted from, with their codes,
+    /// as [`UndoLog::deleted_rows`](crate::UndoLog::deleted_rows) yields
+    /// them) leave their clusters, then the `inserted` slots
+    /// ([`AppliedBatch::inserted_slots`](crate::AppliedBatch::inserted_slots),
+    /// live in `rel`) join the cluster of their signature. An entry that
+    /// does not hold a deleted slot under its signature is invalidated.
+    /// Ends with an eviction pass (inserts grow entries).
     pub fn apply_batch(
         &mut self,
         rel: &DynamicRelation,
-        deleted: &[(RecordId, &[ValueId])],
-        inserted: &[RecordId],
+        deleted: &[(u32, &[ValueId])],
+        inserted: &[u32],
     ) {
         let mut dead: Vec<AttrSet> = Vec::new();
         for (key, entry) in self.entries.iter_mut() {
@@ -472,7 +471,7 @@ impl PliCache {
 mod tests {
     use super::*;
     use crate::{AppliedBatch, Batch};
-    use dynfd_common::Schema;
+    use dynfd_common::{RecordId, Schema};
     use proptest::prelude::*;
 
     fn rel(rows: &[&[&str]]) -> DynamicRelation {
@@ -501,11 +500,12 @@ mod tests {
     #[test]
     fn build_groups_by_both_attributes() {
         let r = paper();
-        // {firstname, zip}: records 0 and 1 share (Max, 14482).
+        // {firstname, zip}: records 0 and 1 share (Max, 14482); a bulk
+        // load puts record i in slot i.
         let p = CachedPartition::build(&r, 0, 2);
         assert_eq!(p.key(), key(0, 2));
         assert_eq!(p.cluster_count(), 1);
-        assert_eq!(p.clusters().next().unwrap(), &[RecordId(0), RecordId(1)]);
+        assert_eq!(p.clusters().next().unwrap(), &[0, 1]);
         assert_eq!(p.singleton_count(), 2);
         assert_eq!(p.member_count(), 4);
         assert_eq!(p.max_cluster_len(), 2);
@@ -521,20 +521,28 @@ mod tests {
     }
 
     /// Applies `batch` to `r` and patches `cache` for it, the way the
-    /// engine does: deletes resolve through the undo log's codes.
+    /// engine does: deletes resolve through the undo log's slots and
+    /// codes.
     fn apply(r: &mut DynamicRelation, cache: &mut PliCache, batch: &Batch) -> AppliedBatch {
         let (applied, undo) = r.apply_batch_logged(batch).unwrap();
         let deleted: Vec<_> = undo.deleted_rows().collect();
-        cache.apply_batch(r, &deleted, &applied.inserted);
+        cache.apply_batch(r, &deleted, &applied.inserted_slots);
         applied
     }
 
-    /// Clusters (sorted), singleton count, member count and largest
+    /// The records of a cluster, in member order.
+    fn rids(r: &DynamicRelation, cluster: &[u32]) -> Vec<RecordId> {
+        cluster.iter().map(|&s| r.rid_at_slot(s)).collect()
+    }
+
+    /// Clusters as record-id sequences in member order (the list of
+    /// clusters sorted), singleton count, member count and largest
     /// cluster: everything a patch must keep equal to a fresh build.
+    /// Member order matters: cluster pruning reads the last member.
     type Shape = (Vec<Vec<RecordId>>, usize, usize, usize);
 
-    fn shape(p: &CachedPartition) -> Shape {
-        let mut clusters: Vec<Vec<RecordId>> = p.clusters().map(<[RecordId]>::to_vec).collect();
+    fn shape(r: &DynamicRelation, p: &CachedPartition) -> Shape {
+        let mut clusters: Vec<Vec<RecordId>> = p.clusters().map(|c| rids(r, c)).collect();
         clusters.sort();
         (
             clusters,
@@ -558,7 +566,7 @@ mod tests {
         let p = cache.get(&key(0, 3)).unwrap();
         assert_eq!(p.cluster_count(), 2);
         assert_eq!(p.singleton_count(), 1);
-        assert!(p.clusters().any(|c| c == [RecordId(3), rid]));
+        assert!(p.clusters().any(|c| rids(&r, c) == [RecordId(3), rid]));
     }
 
     #[test]
@@ -588,8 +596,8 @@ mod tests {
         apply(&mut r, &mut cache, &batch);
 
         assert_eq!(
-            shape(cache.get(&key(1, 3)).unwrap()),
-            shape(&CachedPartition::build(&r, 1, 3)),
+            shape(&r, cache.get(&key(1, 3)).unwrap()),
+            shape(&r, &CachedPartition::build(&r, 1, 3)),
             "same partition regardless of patch vs rebuild"
         );
     }
@@ -598,10 +606,10 @@ mod tests {
     fn unresolvable_delete_invalidates_the_entry() {
         let r = paper();
         let mut cache = cache_with(&r, &[(0, 3)]);
-        // Record 0's codes, but an id the entry never held: the entry and
-        // the relation have diverged.
+        // Record 0's codes, but a slot the entry never held: the entry
+        // and the relation have diverged.
         let codes = r.compressed(RecordId(0)).unwrap().to_vec();
-        cache.apply_batch(&r, &[(RecordId(9), &codes)], &[]);
+        cache.apply_batch(&r, &[(9, &codes)], &[]);
         assert!(cache.is_empty());
         assert_eq!(cache.stats().evictions, 1);
     }
@@ -678,8 +686,8 @@ mod tests {
                 for &(a, b) in &pairs {
                     let patched = cache.get(&key(a, b)).unwrap();
                     prop_assert_eq!(
-                        shape(patched),
-                        shape(&CachedPartition::build(&r, a, b)),
+                        shape(&r, patched),
+                        shape(&r, &CachedPartition::build(&r, a, b)),
                         "entry {{{}, {}}} diverged from a fresh build", a, b
                     );
                 }

@@ -37,20 +37,6 @@ const NO_SLOT: u32 = u32::MAX;
 /// Sentinel in `slot_rids` for a free slot.
 const DEAD_RID: RecordId = RecordId(u64::MAX);
 
-/// How the relation treats null values. Nulls are modelled as empty
-/// strings and compare equal to each other, the convention of FD
-/// discovery tooling (see `Dictionary`'s tests).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum NullPolicy {
-    /// Nulls are ordinary values that agree with each other. Default;
-    /// matches the paper's setting and every existing dataset profile.
-    #[default]
-    AllowAll,
-    /// Any batch carrying a null value is rejected with
-    /// [`DynError::NullValue`] before anything is applied.
-    RejectNulls,
-}
-
 /// A borrowed view of one record's value codes inside the columnar
 /// arena. Indexing (`row[attr]`) reads `columns[attr][slot]`; comparison
 /// and ordering are lexicographic over the code vector, matching the
@@ -134,9 +120,10 @@ impl std::fmt::Debug for RowRef<'_> {
 enum UndoOp {
     /// A record this batch inserted; undone by deleting it again.
     Inserted(RecordId),
-    /// A record this batch deleted, with its compressed form; undone by
-    /// restoring it into its slot and every PLI.
-    Removed(RecordId, Box<[ValueId]>),
+    /// A record this batch deleted, with the slot it freed and its
+    /// compressed form; undone by restoring it into that slot and every
+    /// PLI.
+    Removed(RecordId, u32, Box<[ValueId]>),
 }
 
 /// Undo log for one batch application, produced by
@@ -168,13 +155,17 @@ impl UndoLog {
         self.ops.is_empty()
     }
 
-    /// The records the batch deleted that existed before it, with the
-    /// codes they held, in deletion order. Deletes of records the same
-    /// batch inserted are left out. This is how derived indexes find a
-    /// deleted record's values after the relation has dropped them.
-    pub fn deleted_rows(&self) -> impl Iterator<Item = (RecordId, &[ValueId])> + '_ {
+    /// The arena slots the batch freed by deleting records that existed
+    /// before it, with the codes those records held, in deletion order.
+    /// Deletes of records the same batch inserted are left out, and an
+    /// insert of the batch may since have reused a slot. This is how
+    /// derived indexes that store slots find a deleted record's entry
+    /// after the relation has dropped it.
+    pub fn deleted_rows(&self) -> impl Iterator<Item = (u32, &[ValueId])> + '_ {
         self.ops.iter().filter_map(move |op| match op {
-            UndoOp::Removed(rid, codes) if *rid < self.next_id_before => Some((*rid, &codes[..])),
+            UndoOp::Removed(rid, slot, codes) if *rid < self.next_id_before => {
+                Some((*slot, &codes[..]))
+            }
             _ => None,
         })
     }
@@ -198,8 +189,11 @@ impl UndoLog {
 /// requirement that DynFD must not perform reads against the database it
 /// monitors.
 ///
+/// Nulls are modelled as empty strings and compare equal to each other,
+/// the convention of FD discovery tooling (see `Dictionary`'s tests).
+///
 /// Equality (`==`) is *logical*: two relations are equal when they hold
-/// the same schema, policy, id counter, dictionaries, and the same
+/// the same schema, id counter, dictionaries, and the same
 /// record content per surrogate id — regardless of how churn arranged
 /// the records in their arenas. (PLIs are fully determined by the
 /// records, so they need no separate comparison.)
@@ -221,13 +215,11 @@ pub struct DynamicRelation {
     /// Number of live records.
     live: usize,
     next_id: RecordId,
-    null_policy: NullPolicy,
 }
 
 impl PartialEq for DynamicRelation {
     fn eq(&self, other: &Self) -> bool {
         if self.schema != other.schema
-            || self.null_policy != other.null_policy
             || self.next_id != other.next_id
             || self.dictionaries != other.dictionaries
             || self.live != other.live
@@ -270,19 +262,7 @@ impl DynamicRelation {
             free: Vec::new(),
             live: 0,
             next_id: RecordId(0),
-            null_policy: NullPolicy::default(),
         }
-    }
-
-    /// The active null policy.
-    pub fn null_policy(&self) -> NullPolicy {
-        self.null_policy
-    }
-
-    /// Changes the null policy. Only future batches are checked; records
-    /// already ingested are never retroactively rejected.
-    pub fn set_null_policy(&mut self, policy: NullPolicy) {
-        self.null_policy = policy;
     }
 
     /// Overrides the distinct-value budget of column `attr`'s dictionary
@@ -415,17 +395,6 @@ impl DynamicRelation {
         }
     }
 
-    /// The packed two-attribute value signature of a live record: the
-    /// value codes of `a` and `b` packed into one `u64` (`a`'s code in
-    /// the high half). This is the cluster-signature scheme of the
-    /// validator's packed group tables and the key scheme of the
-    /// [`PliCache`](crate::PliCache): two records agree on `{a, b}` iff
-    /// their signatures are equal (codes are exact, not hashed).
-    pub fn packed_sig(&self, rid: RecordId, a: usize, b: usize) -> Option<u64> {
-        let slot = self.slot_of(rid)? as usize;
-        Some((self.columns[a][slot] as u64) << 32 | self.columns[b][slot] as u64)
-    }
-
     /// Decodes a live record back into its string values.
     pub fn materialize(&self, rid: RecordId) -> Option<Vec<String>> {
         let slot = self.slot_of(rid)? as usize;
@@ -495,9 +464,9 @@ impl DynamicRelation {
         Ok(rid)
     }
 
-    /// Checks one row against the schema arity, the null policy, and the
-    /// per-column dictionary capacities, all before any mutation — a row
-    /// that passes cannot fail to insert.
+    /// Checks one row against the schema arity and the per-column
+    /// dictionary capacities, all before any mutation — a row that passes
+    /// cannot fail to insert.
     fn check_row<S: AsRef<str>>(&self, row: &[S]) -> Result<()> {
         if row.len() != self.arity() {
             return Err(DynError::ArityMismatch {
@@ -506,11 +475,7 @@ impl DynamicRelation {
             });
         }
         for (attr, value) in row.iter().enumerate() {
-            let value = value.as_ref();
-            if self.null_policy == NullPolicy::RejectNulls && value.is_empty() {
-                return Err(DynError::NullValue { attr });
-            }
-            if self.dictionaries[attr].would_overflow(value) {
+            if self.dictionaries[attr].would_overflow(value.as_ref()) {
                 return Err(DynError::DictionaryOverflow {
                     attr,
                     capacity: self.dictionaries[attr].capacity(),
@@ -556,8 +521,8 @@ impl DynamicRelation {
     /// applied at the end.
     ///
     /// On error (unknown record id, duplicate reference, arity mismatch,
-    /// null-policy violation, dictionary overflow) the relation is left
-    /// unchanged: the batch is validated before any mutation.
+    /// dictionary overflow) the relation is left unchanged: the batch is
+    /// validated before any mutation.
     pub fn apply_batch(&mut self, batch: &Batch) -> Result<AppliedBatch> {
         self.apply_batch_logged(batch).map(|(applied, _)| applied)
     }
@@ -594,8 +559,7 @@ impl DynamicRelation {
                 ChangeOp::Delete(rid) | ChangeOp::Update(rid, _) => *rid,
                 ChangeOp::Insert(_) => continue,
             };
-            if self.contains(rid) {
-                let codes = self.row_codes_boxed(rid).expect("checked live above");
+            if let Some((slot, codes)) = self.removal_of(rid) {
                 if let ChangeOp::Update(_, new_row) = op {
                     if applied.update_only {
                         // A value is unchanged iff it already has the
@@ -609,7 +573,7 @@ impl DynamicRelation {
                     }
                 }
                 self.delete_record(rid)?;
-                undo.ops.push(UndoOp::Removed(rid, codes));
+                undo.ops.push(UndoOp::Removed(rid, slot, codes));
                 applied.deleted.push(rid);
             } else {
                 // References a record created later in this batch. Such
@@ -634,11 +598,9 @@ impl DynamicRelation {
 
         // Phase 3: deletes that referenced same-batch inserts.
         for rid in deferred_deletes {
-            let codes = self
-                .row_codes_boxed(rid)
-                .expect("validated same-batch insert");
+            let (slot, codes) = self.removal_of(rid).expect("validated same-batch insert");
             self.delete_record(rid)?;
-            undo.ops.push(UndoOp::Removed(rid, codes));
+            undo.ops.push(UndoOp::Removed(rid, slot, codes));
             applied.inserted.retain(|&r| r != rid);
         }
 
@@ -651,10 +613,10 @@ impl DynamicRelation {
         Ok((applied, undo))
     }
 
-    /// The record's codes as an owned boxed slice (undo-log payloads).
-    fn row_codes_boxed(&self, rid: RecordId) -> Option<Box<[ValueId]>> {
-        self.compressed(rid)
-            .map(|row| row.to_vec().into_boxed_slice())
+    /// A live record's slot and codes (undo-log payloads).
+    fn removal_of(&self, rid: RecordId) -> Option<(u32, Box<[ValueId]>)> {
+        let slot = self.slot_of(rid)?;
+        Some((slot, self.row_at_slot(slot).to_vec().into_boxed_slice()))
     }
 
     /// Reverse-replays the undo log of a batch, restoring the relation to
@@ -699,11 +661,12 @@ impl DynamicRelation {
                         self.free.push(slot);
                     }
                 }
-                UndoOp::Removed(rid, codes) => {
+                UndoOp::Removed(rid, freed, codes) => {
                     let slot = self
                         .free
                         .pop()
                         .expect("delete pushed the slot this undo re-occupies");
+                    debug_assert_eq!(slot, freed, "rollback: {rid} returns to the slot it freed");
                     self.slot_rids[slot as usize] = rid;
                     for (attr, &code) in codes.iter().enumerate() {
                         self.columns[attr][slot as usize] = code;
@@ -729,7 +692,7 @@ impl DynamicRelation {
     fn validate_batch(&self, batch: &Batch) -> Result<()> {
         // Simulate id assignment to accept deletes of same-batch inserts.
         let mut pending_inserts = 0u64;
-        let mut dead: Vec<RecordId> = Vec::new();
+        let mut dead: HashSet<RecordId> = HashSet::with_capacity(batch.len());
         for op in batch.ops() {
             match op {
                 ChangeOp::Insert(row) => {
@@ -739,12 +702,12 @@ impl DynamicRelation {
                 ChangeOp::Update(rid, row) => {
                     self.check_row(row)?;
                     self.check_live(*rid, pending_inserts, &dead)?;
-                    dead.push(*rid);
+                    dead.insert(*rid);
                     pending_inserts += 1;
                 }
                 ChangeOp::Delete(rid) => {
                     self.check_live(*rid, pending_inserts, &dead)?;
-                    dead.push(*rid);
+                    dead.insert(*rid);
                 }
             }
         }
@@ -787,7 +750,12 @@ impl DynamicRelation {
         Ok(())
     }
 
-    fn check_live(&self, rid: RecordId, pending_inserts: u64, dead: &[RecordId]) -> Result<()> {
+    fn check_live(
+        &self,
+        rid: RecordId,
+        pending_inserts: u64,
+        dead: &HashSet<RecordId>,
+    ) -> Result<()> {
         if dead.contains(&rid) {
             // The record existed (or was created in this batch) but an
             // earlier op already consumed it: a duplicate reference, not
@@ -805,7 +773,7 @@ impl DynamicRelation {
     }
 
     /// Reconstructs a relation from its *logical* persisted parts:
-    /// schema, null policy, id counter, the full per-column dictionaries
+    /// schema, id counter, the full per-column dictionaries
     /// (dead codes included, so codes stay stable across a save/restore
     /// cycle), and the compressed records. Slots are assigned compactly
     /// in ascending record-id order with an empty free-list; PLIs are
@@ -824,7 +792,6 @@ impl DynamicRelation {
     /// guards the semantic gaps checksums cannot see.)
     pub fn from_parts(
         schema: Schema,
-        null_policy: NullPolicy,
         next_id: RecordId,
         dictionaries: Vec<Dictionary>,
         mut records: Vec<(RecordId, Box<[ValueId]>)>,
@@ -849,7 +816,6 @@ impl DynamicRelation {
             free: Vec::new(),
             live: 0,
             next_id,
-            null_policy,
         };
         for (rid, codes) in records {
             if codes.len() != arity {
@@ -1170,28 +1136,6 @@ mod tests {
     }
 
     #[test]
-    fn reject_nulls_policy_blocks_batch_atomically() {
-        let mut rel = paper_relation();
-        rel.set_null_policy(NullPolicy::RejectNulls);
-        let mut snapshot = paper_relation();
-        snapshot.set_null_policy(NullPolicy::RejectNulls);
-        let mut batch = Batch::new();
-        batch
-            .delete(RecordId(0))
-            .insert(vec!["Marie", "", "14467", "Potsdam"]);
-        assert_eq!(
-            rel.apply_batch(&batch).unwrap_err(),
-            DynError::NullValue { attr: 1 }
-        );
-        assert_eq!(rel, snapshot);
-        // The default policy accepts the same batch.
-        rel.set_null_policy(NullPolicy::AllowAll);
-        snapshot.set_null_policy(NullPolicy::AllowAll);
-        rel.apply_batch(&batch).unwrap();
-        assert_ne!(rel, snapshot);
-    }
-
-    #[test]
     fn dictionary_overflow_pre_checked() {
         let mut rel = paper_relation();
         rel.set_dictionary_capacity(2, rel.dictionary(2).len() + 1);
@@ -1324,14 +1268,9 @@ mod tests {
             .records()
             .map(|(rid, codes)| (rid, codes.to_vec().into_boxed_slice()))
             .collect();
-        let restored = DynamicRelation::from_parts(
-            rel.schema().clone(),
-            rel.null_policy(),
-            rel.next_id(),
-            dicts,
-            records,
-        )
-        .unwrap();
+        let restored =
+            DynamicRelation::from_parts(rel.schema().clone(), rel.next_id(), dicts, records)
+                .unwrap();
         assert_eq!(restored, rel, "restore must be logically identical");
         restored.check_arena_invariants().unwrap();
     }
@@ -1358,26 +1297,14 @@ mod tests {
         let mut bad = recs(&rel);
         bad[0].0 = rel.next_id();
         assert!(matches!(
-            DynamicRelation::from_parts(
-                rel.schema().clone(),
-                rel.null_policy(),
-                rel.next_id(),
-                dicts(&rel),
-                bad
-            ),
+            DynamicRelation::from_parts(rel.schema().clone(), rel.next_id(), dicts(&rel), bad),
             Err(DynError::Parse(_))
         ));
         // Unassigned value code.
         let mut bad = recs(&rel);
         bad[0].1[0] = 9999;
         assert!(matches!(
-            DynamicRelation::from_parts(
-                rel.schema().clone(),
-                rel.null_policy(),
-                rel.next_id(),
-                dicts(&rel),
-                bad
-            ),
+            DynamicRelation::from_parts(rel.schema().clone(), rel.next_id(), dicts(&rel), bad),
             Err(DynError::Parse(_))
         ));
         // Duplicate record id.
@@ -1385,13 +1312,7 @@ mod tests {
         let clone = bad[0].clone();
         bad.push(clone);
         assert!(matches!(
-            DynamicRelation::from_parts(
-                rel.schema().clone(),
-                rel.null_policy(),
-                rel.next_id(),
-                dicts(&rel),
-                bad
-            ),
+            DynamicRelation::from_parts(rel.schema().clone(), rel.next_id(), dicts(&rel), bad),
             Err(DynError::Parse(_))
         ));
     }

@@ -207,19 +207,15 @@ impl GroupTable {
 
 /// Reusable working memory for [`validate_with`].
 ///
-/// A validation call needs a group table (the lazy PLI intersection), a
-/// slot-translation buffer for cached partitions, and an
-/// attribute→outcome-slot index. Allocating these per call dominates the
-/// cost of validating the many small candidates of a lattice level;
-/// threading one scratch through a whole level makes the steady state
-/// allocation-free.
+/// A validation call needs a group table (the lazy PLI intersection)
+/// and an attribute→outcome-slot index. Allocating these per call
+/// dominates the cost of validating the many small candidates of a
+/// lattice level; threading one scratch through a whole level makes the
+/// steady state allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct ValidatorScratch {
     /// Open-addressed group table shared by the packed and wide paths.
     table: GroupTable,
-    /// Slot buffer: cached partitions store record ids; their clusters
-    /// are translated to arena slots here before the columnar scan.
-    slot_buf: Vec<u32>,
     /// Per-cluster list of active RHS attributes that are *not* constant
     /// over the cluster (the survivors of the constancy pre-pass).
     live_rhs: Vec<AttrId>,
@@ -301,12 +297,6 @@ pub fn validate_with(
         return validate_empty_lhs(rel, rhs_set);
     }
 
-    let mut stats = ValidationStats::default();
-    let mut outcomes: Vec<(AttrId, RhsOutcome)> =
-        rhs_set.iter().map(|r| (r, RhsOutcome::Valid)).collect();
-    let mut active = rhs_set;
-    prepare_slots(scratch, rel.arity(), &outcomes);
-
     // Pivot: the LHS attribute whose PLI has the smallest maximal
     // cluster — the most refined single-attribute partition, giving the
     // smallest groups to intersect. Ties break towards the smaller
@@ -315,43 +305,9 @@ pub fn validate_with(
         .iter()
         .min_by_key(|&a| (rel.pli(a).max_cluster_len(), a))
         .expect("non-empty lhs");
-    let rest: Vec<AttrId> = lhs.iter().filter(|&a| a != pivot).collect();
-    let rhs_attrs: Vec<AttrId> = rhs_set.to_vec();
-    let slot_rids = rel.slot_rids();
-
-    for (_, cluster) in rel.pli(pivot).iter() {
-        if cluster.len() < 2 {
-            stats.singletons_skipped += 1;
-            continue;
-        }
-        if let Some(min_new) = opts.min_new_id {
-            // Rid-sorted cluster: the last slot holds the newest record.
-            let last = *cluster.last().expect("non-empty cluster");
-            if slot_rids[last as usize] < min_new {
-                stats.clusters_pruned += 1;
-                continue;
-            }
-        }
-        stats.clusters_visited += 1;
-        if scan_one_cluster(
-            rel,
-            cluster,
-            &rest,
-            &rhs_attrs,
-            scratch,
-            &mut outcomes,
-            &mut active,
-            &mut stats,
-        ) {
-            break;
-        }
-    }
-
-    ValidationResult {
-        lhs,
-        outcomes,
-        stats,
-    }
+    let clusters = rel.pli(pivot).iter().map(|(_, cluster)| cluster);
+    let key = AttrSet::single(pivot);
+    scan_partition(rel, lhs, rhs_set, key, clusters, 0, opts, scratch)
 }
 
 /// Validates `lhs -> r` for every `r ∈ rhs_set`, pivoting on the most
@@ -359,6 +315,10 @@ pub fn validate_with(
 /// `cache` covering a 2-subset of the LHS, or the best single-attribute
 /// PLI when no cached entry beats it (paper-lineage heuristic; see the
 /// [`crate::pli_cache`] module docs).
+///
+/// A cached partition's clusters are rid-ordered runs of arena slots,
+/// like a PLI's, so both pivot kinds go through the same cluster scan
+/// and the same cluster pruning.
 ///
 /// Works on `cache` in place:
 ///
@@ -424,7 +384,9 @@ pub fn validate_cached(
         // The most refined resident 2-subset beats every single-attribute
         // PLI of the LHS: pivot on it (a cache hit).
         Some((key, part)) if part.max_cluster_len() <= best_single => {
-            let result = validate_on_partition(rel, lhs, rhs_set, key, part, opts, scratch);
+            let (clusters, singletons) = (part.clusters(), part.singleton_count());
+            let result =
+                scan_partition(rel, lhs, rhs_set, key, clusters, singletons, opts, scratch);
             cache.record_hit(&key);
             result
         }
@@ -444,60 +406,62 @@ pub fn validate_cached(
             pair.sort_unstable_by_key(|&a| (rel.pli(a).max_cluster_len(), a));
             let (a, b) = (pair[0].min(pair[1]), pair[0].max(pair[1]));
             let part = CachedPartition::build(rel, a, b);
-            let result = validate_on_partition(rel, lhs, rhs_set, part.key(), &part, opts, scratch);
+            let (key, clusters, singletons) = (part.key(), part.clusters(), part.singleton_count());
+            let result =
+                scan_partition(rel, lhs, rhs_set, key, clusters, singletons, opts, scratch);
             cache.insert(part);
             result
         }
     }
 }
 
-/// Shared core of [`validate_cached`]'s hit/build paths: scan the
-/// cached partition's clusters, refining by the LHS attributes outside
-/// the cached key. Cached clusters store record ids (they must survive
-/// slot reuse between patches); each is translated to arena slots before
-/// the columnar scan.
-fn validate_on_partition(
+/// The one cluster scan of every validation: walks the clusters of a
+/// pivot partition covering the attributes `key ⊆ lhs` — a PLI's or a
+/// cached intersection's, both rid-ordered runs of arena slots —
+/// refining each by the LHS attributes outside `key`. `singletons`
+/// counts one-record clusters the partition keeps out of `clusters`
+/// (a cached partition strips them; a PLI yields them and they are
+/// skipped here).
+#[allow(clippy::too_many_arguments)]
+fn scan_partition<'a>(
     rel: &DynamicRelation,
     lhs: AttrSet,
     rhs_set: AttrSet,
     key: AttrSet,
-    part: &CachedPartition,
+    clusters: impl Iterator<Item = &'a [u32]>,
+    singletons: usize,
     opts: &ValidationOptions,
     scratch: &mut ValidatorScratch,
 ) -> ValidationResult {
-    let mut stats = ValidationStats::default();
+    let mut stats = ValidationStats {
+        singletons_skipped: singletons,
+        ..ValidationStats::default()
+    };
     let mut outcomes: Vec<(AttrId, RhsOutcome)> =
         rhs_set.iter().map(|r| (r, RhsOutcome::Valid)).collect();
     let mut active = rhs_set;
     prepare_slots(scratch, rel.arity(), &outcomes);
-
-    // Singletons were stripped at build/patch time; account for them
-    // without iterating (each is one skipped one-record cluster).
-    stats.singletons_skipped += part.singleton_count();
     let rest: Vec<AttrId> = lhs.difference(&key).to_vec();
     let rhs_attrs: Vec<AttrId> = rhs_set.to_vec();
+    let slot_rids = rel.slot_rids();
 
-    let mut slot_buf = std::mem::take(&mut scratch.slot_buf);
-    for cluster in part.clusters() {
+    for cluster in clusters {
         if cluster.len() < 2 {
             stats.singletons_skipped += 1;
             continue;
         }
         if let Some(min_new) = opts.min_new_id {
-            if *cluster.last().expect("non-empty cluster") < min_new {
+            // Rid-ordered cluster: the last slot holds the newest record.
+            let last = *cluster.last().expect("non-empty cluster");
+            if slot_rids[last as usize] < min_new {
                 stats.clusters_pruned += 1;
                 continue;
             }
         }
         stats.clusters_visited += 1;
-        slot_buf.clear();
-        slot_buf.extend(cluster.iter().map(|&rid| {
-            rel.slot_of(rid)
-                .expect("cached partition references live record")
-        }));
         if scan_one_cluster(
             rel,
-            &slot_buf,
+            cluster,
             &rest,
             &rhs_attrs,
             scratch,
@@ -508,7 +472,6 @@ fn validate_on_partition(
             break;
         }
     }
-    scratch.slot_buf = slot_buf;
 
     ValidationResult {
         lhs,
@@ -557,7 +520,6 @@ fn scan_one_cluster(
         table,
         live_rhs,
         slot_of_attr,
-        ..
     } = scratch;
 
     if rest.is_empty() {
@@ -697,17 +659,22 @@ pub fn validate_fd(rel: &DynamicRelation, fd: &Fd, opts: &ValidationOptions) -> 
 
 /// The *agree set* of two records: all attributes on which they hold the
 /// same value. For any attribute `y` outside the agree set `X`, the pair
-/// witnesses the non-FD `X -> y` (paper Section 4.3).
+/// witnesses the non-FD `X -> y` (paper Section 4.3). `None` when either
+/// record is not live.
 pub fn agree_set(rel: &DynamicRelation, a: RecordId, b: RecordId) -> Option<AttrSet> {
-    let ra = rel.compressed(a)?;
-    let rb = rel.compressed(b)?;
+    Some(agree_set_at(rel, rel.slot_of(a)?, rel.slot_of(b)?))
+}
+
+/// [`agree_set`] of the records at two live arena slots, read straight
+/// from the columns.
+pub fn agree_set_at(rel: &DynamicRelation, a: u32, b: u32) -> AttrSet {
     let mut set = AttrSet::empty();
-    for (attr, (x, y)) in ra.iter().zip(rb.iter()).enumerate() {
-        if x == y {
+    for (attr, col) in rel.columns().iter().enumerate() {
+        if col[a as usize] == col[b as usize] {
             set.insert(attr);
         }
     }
-    Some(set)
+    set
 }
 
 #[cfg(test)]
@@ -1066,6 +1033,39 @@ mod tests {
             &ValidationOptions::delta(first_new),
         );
         assert_eq!(res.outcome(3).is_valid(), plain.outcome(3).is_valid());
+    }
+
+    /// Cluster pruning reads a cached cluster's last member, so a patch
+    /// must append the slot a batch's insert took back from its delete.
+    #[test]
+    fn pruned_cached_pivot_sees_a_slot_reused_in_the_batch() {
+        use crate::pli_cache::PliCache;
+        use crate::Batch;
+
+        let mut r = paper();
+        let mut cache = PliCache::new(usize::MAX);
+        // {firstname, city}: cluster (Max, Potsdam) = slots {0, 1}.
+        cache.insert(CachedPartition::build(&r, 0, 3));
+        let mut batch = Batch::new();
+        batch.update(RecordId(1), vec!["Max", "Gray", "14467", "Potsdam"]);
+        let (applied, undo) = r.apply_batch_logged(&batch).unwrap();
+        assert_eq!(applied.inserted_slots, [1], "the new version reuses slot 1");
+        let new = applied.inserted[0];
+        let deleted: Vec<_> = undo.deleted_rows().collect();
+        cache.apply_batch(&r, &deleted, &applied.inserted_slots);
+
+        let res = validate_cached(
+            &r,
+            lhs(&[0, 3]),
+            AttrSet::single(1),
+            &ValidationOptions::delta(new),
+            &mut ValidatorScratch::new(),
+            &mut cache,
+        );
+        assert_eq!(cache.stats().hits, 1, "pivots on the cached entry");
+        assert_eq!(res.stats.clusters_visited, 1);
+        assert_eq!(res.stats.clusters_pruned, 0);
+        assert_eq!(res.outcome(1), RhsOutcome::Violated(RecordId(0), new));
     }
 
     #[test]

@@ -246,12 +246,6 @@ impl SessionClient {
         self.report
     }
 
-    /// The next sequence this client will assign for `tenant` minus
-    /// one: how many sequences it has consumed.
-    pub fn seqs_consumed(&self, tenant: &str) -> u64 {
-        self.next_seq.get(tenant).map_or(0, |s| s - 1)
-    }
-
     fn fresh_id(&mut self) -> u64 {
         let id = self.next_request_id;
         self.next_request_id += 1;

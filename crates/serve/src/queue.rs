@@ -102,11 +102,6 @@ impl<T> ShardQueue<T> {
         recover(self.inner.lock()).closed = true;
         self.ready.notify_all();
     }
-
-    /// Items currently queued (diagnostics only — racy by nature).
-    pub fn len(&self) -> usize {
-        recover(self.inner.lock()).items.len()
-    }
 }
 
 /// A counting admission gate: at most `capacity` acquisitions in flight.
@@ -182,7 +177,6 @@ mod tests {
         for i in 0..5 {
             q.push(i).expect("open queue accepts");
         }
-        assert_eq!(q.len(), 5);
         q.close();
         // Closed overrides paused: the backlog drains in order.
         for i in 0..5 {

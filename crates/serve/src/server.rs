@@ -905,11 +905,6 @@ impl ServeEngine {
         }
     }
 
-    /// A tenant's resident-byte estimate after its last applied batch.
-    pub fn tenant_resident_bytes(&self, name: &str) -> Result<u64, ServeError> {
-        Ok(self.lookup(name)?.resident_bytes.load(Ordering::Relaxed))
-    }
-
     /// A tenant's current in-flight batch count.
     pub fn queue_depth(&self, name: &str) -> Result<usize, ServeError> {
         Ok(self.lookup(name)?.gate.depth())
@@ -918,16 +913,6 @@ impl ServeEngine {
     /// All tenant names, sorted.
     pub fn tenant_names(&self) -> Vec<String> {
         self.tenant_arcs().iter().map(|t| t.name.clone()).collect()
-    }
-
-    /// Total jobs sitting in shard queues right now (diagnostics).
-    pub fn queued_jobs(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// Whether the intake has been closed by [`ServeEngine::shutdown`].
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
     }
 
     /// Drains and stops the pool: closes the intake, lets every queued

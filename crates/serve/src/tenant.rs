@@ -5,9 +5,9 @@
 //! [`FdEngine`] rooted in their own WAL directory (`<root>/<name>/`) —
 //! re-opening a tenant recovers and resumes, and a server crash loses
 //! at most batches never acknowledged. **Memory** tenants wrap a plain
-//! [`DynFd`] for pure-throughput workloads (the load generator's
-//! in-memory mode); they track their own sequence number so replies
-//! look the same either way.
+//! [`DynFd`] for pure-throughput workloads (`dynfd serve --multi`
+//! without `--root`, and the test harnesses); they track their own
+//! sequence number so replies look the same either way.
 //!
 //! The backend sits behind a `Mutex`, but it is not contended in steady
 //! state: a tenant maps to exactly one worker shard, so only that shard

@@ -11,16 +11,16 @@
 //! threshold.
 
 use super::HyFdStats;
-use dynfd_common::{AttrSet, RecordId};
+use dynfd_common::AttrSet;
 use dynfd_lattice::FdTree;
-use dynfd_relation::{agree_set, DynamicRelation};
+use dynfd_relation::{agree_set_at, DynamicRelation};
 
-/// Progressive cluster-window sampler.
+/// Progressive cluster-window sampler over one unchanging relation.
 #[derive(Clone, Debug)]
 pub struct Sampler {
-    /// Per attribute: its non-singleton clusters, members sorted by
-    /// compressed signature (similarity sort).
-    clusters: Vec<Vec<Vec<RecordId>>>,
+    /// Per attribute: its non-singleton clusters, members (arena slots)
+    /// sorted by compressed signature (similarity sort).
+    clusters: Vec<Vec<Vec<u32>>>,
     /// Per attribute: the next window distance to run (1-based).
     window: Vec<usize>,
     /// Per attribute: efficiency of the last round (`f64::INFINITY`
@@ -30,24 +30,19 @@ pub struct Sampler {
 
 impl Sampler {
     /// Prepares the sampler: snapshots and similarity-sorts the PLI
-    /// clusters of every attribute.
+    /// clusters of every attribute. [`Sampler::run`] must be given the
+    /// same, unchanged relation.
     pub fn new(rel: &DynamicRelation) -> Self {
         let arity = rel.arity();
         let mut clusters = Vec::with_capacity(arity);
         for a in 0..arity {
-            let mut per_attr: Vec<Vec<RecordId>> = Vec::new();
+            let mut per_attr: Vec<Vec<u32>> = Vec::new();
             for (_, cluster) in rel.pli(a).iter_non_singleton() {
-                // Clusters hold arena slots; the sampler works on record
-                // ids (stable across slot churn while it runs).
-                let mut c: Vec<RecordId> = cluster.iter().map(|&s| rel.rid_at_slot(s)).collect();
                 // Similarity sort: lexicographic by compressed record
                 // brings records with many common values next to each
                 // other, making window-1 neighbors high-yield pairs.
-                c.sort_by(|&x, &y| {
-                    rel.compressed(x)
-                        .expect("live")
-                        .cmp(&rel.compressed(y).expect("live"))
-                });
+                let mut c = cluster.to_vec();
+                c.sort_by(|&x, &y| rel.row_at_slot(x).cmp(&rel.row_at_slot(y)));
                 per_attr.push(c);
             }
             clusters.push(per_attr);
@@ -111,7 +106,7 @@ impl Sampler {
                 for i in 0..cluster.len() - dist {
                     let (x, y) = (cluster[i], cluster[i + dist]);
                     comparisons += 1;
-                    let agree = agree_set(rel, x, y).expect("live records");
+                    let agree = agree_set_at(rel, x, y);
                     if agree.len() == arity {
                         continue; // duplicate records witness nothing
                     }

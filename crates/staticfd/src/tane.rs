@@ -14,7 +14,7 @@
 //! workspace it serves as a correctness oracle and as the column-based
 //! representative in the algorithm comparison benches.
 
-use dynfd_common::{AttrSet, Fd};
+use dynfd_common::AttrSet;
 use dynfd_lattice::FdTree;
 use dynfd_relation::{validate, DynamicRelation, ValidationOptions};
 
@@ -71,15 +71,11 @@ pub fn discover(rel: &DynamicRelation) -> FdTree {
     fds
 }
 
-/// Convenience: discovery result as a sorted `Vec<Fd>`.
-pub fn discover_vec(rel: &DynamicRelation) -> Vec<Fd> {
-    discover(rel).all_fds()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::{paper_relation, random_relation, rel};
+    use dynfd_common::Fd;
 
     fn s(attrs: &[usize]) -> AttrSet {
         attrs.iter().copied().collect()

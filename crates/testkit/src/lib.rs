@@ -84,7 +84,7 @@ pub use chaos::{
 pub use concurrent::{check_concurrent_serve, sequential_oracle, tenant_traces, ConcurrentStats};
 pub use crash::{check_trace_durable, CrashStats, WalFault};
 pub use json::Json;
-pub use netproxy::{check_net, NetFault, NetProxy, NetStats};
+pub use netproxy::{check_net, dial_unix, NetFault, NetProxy, NetStats};
 pub use repro::Repro;
 pub use runner::{
     check_trace, silence_injected_panics, CoverFault, EngineFault, RunnerOptions, TraceFailure,

@@ -31,12 +31,31 @@ use dynfd_serve::{
     serve_listener, AdmissionPolicy, ConnOptions, ListenAddr, RetryPolicy, ServeConfig,
     ServeEngine, SessionClient, TransportConfig, TransportReport,
 };
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Connects to the unix socket at `path`, retrying every 5 ms for up to
+/// 5 s while the socket file is missing or refuses: a listener creates
+/// its socket file before it starts listening, so a connect can land in
+/// between.
+pub fn dial_unix(path: &Path) -> std::io::Result<UnixStream> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        match UnixStream::connect(path) {
+            Err(e)
+                if matches!(e.kind(), ErrorKind::ConnectionRefused | ErrorKind::NotFound)
+                    && Instant::now() < deadline =>
+            {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            result => return result,
+        }
+    }
+}
 
 /// The network damage modes `fuzz --inject` can place between a client
 /// and the socket transport.
@@ -315,7 +334,7 @@ impl Drop for NetProxy {
 /// Pumps one proxied connection: frame-aware client→server with the
 /// damage plan applied, raw server→client in a sibling thread.
 fn proxy_connection(client: UnixStream, server_path: &Path, plan: ConnPlan, seed: u64) {
-    let Ok(server) = UnixStream::connect(server_path) else {
+    let Ok(server) = dial_unix(server_path) else {
         let _ = client.shutdown(std::net::Shutdown::Both);
         return;
     };

@@ -87,9 +87,9 @@
 //! exits nonzero with a code that identifies the error family: `2` for
 //! usage errors, and the [`DynFdError::exit_code`] mapping for engine
 //! errors (`3` I/O, `4` parse, `5` unknown record, `6` duplicate
-//! record, `7` arity mismatch, `8` dictionary overflow, `9` null-policy
-//! violation, `10` internal fault, `11` WAL corruption, `12` snapshot
-//! corruption).
+//! record, `7` arity mismatch, `8` dictionary overflow, `10` internal
+//! fault, `11` WAL corruption, `12` snapshot corruption; `9` is
+//! unassigned).
 
 use dynfd::common::{DynError, Schema};
 use dynfd::core::{DynFd, DynFdConfig, DynFdError, FdMonitor};

@@ -17,7 +17,7 @@ use dynfd::serve::{
     serve_connection, serve_listener, AdmissionPolicy, ListenAddr, RetryPolicy, ServeConfig,
     ServeEngine, SessionClient, TransportConfig, TransportReport,
 };
-use dynfd_testkit::{tenant_traces, Trace};
+use dynfd_testkit::{dial_unix, tenant_traces, Trace};
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -282,7 +282,7 @@ fn drain_notifies_connected_clients_with_code_16_and_syncs_wal() {
     );
 
     // A raw protocol client that stays connected across the drain.
-    let mut stream = UnixStream::connect(&server.sock).expect("connect");
+    let mut stream = dial_unix(&server.sock).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
@@ -381,7 +381,7 @@ fn slow_reader_is_shed_and_bystanders_are_unharmed() {
     // typed error response (unknown tenant), and never reads a byte.
     // Responses pile into the kernel buffer, then the writer blocks,
     // then the 4-slot outbox overflows — the shed.
-    let mut slow = UnixStream::connect(&server.sock).expect("connect slow");
+    let mut slow = dial_unix(&server.sock).expect("connect slow");
     let ghost = wire::encode_request(&Request::Close {
         request_id: 9,
         tenant: "ghost".into(),
@@ -440,6 +440,19 @@ fn fresh_prefix(name: &str, trace: &Trace, prefix: usize) -> DynFd {
     dynfd
 }
 
+/// A child process that is killed and reaped on drop if it still runs,
+/// so a failing test leaves no server behind.
+struct ChildGuard(std::process::Child);
+
+impl Drop for ChildGuard {
+    fn drop(&mut self) {
+        if let Ok(None) = self.0.try_wait() {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+}
+
 #[test]
 fn drain_kill_in_the_socket_server_leaves_every_tenant_recoverable() {
     // The crash window the transport adds: a client queues a backlog
@@ -453,7 +466,7 @@ fn drain_kill_in_the_socket_server_leaves_every_tenant_recoverable() {
     let sock = scratch.0.join("s.sock");
     let traces = tenant_traces(SEED, TENANTS);
 
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_dynfd"))
+    let child = std::process::Command::new(env!("CARGO_BIN_EXE_dynfd"))
         .args([
             "serve",
             "--multi",
@@ -474,18 +487,12 @@ fn drain_kill_in_the_socket_server_leaves_every_tenant_recoverable() {
         .stderr(std::process::Stdio::null())
         .spawn()
         .expect("spawn dynfd serve --multi --listen");
-    for _ in 0..400 {
-        if sock.exists() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(sock.exists(), "child never bound its socket");
+    let mut child = ChildGuard(child);
 
     // Queue the whole backlog (delivery is paused: nothing applies
     // yet), then request shutdown. The drain resumes delivery with the
     // kill budget armed — the abort lands mid-drain.
-    let mut stream = UnixStream::connect(&sock).expect("connect child");
+    let mut stream = dial_unix(&sock).expect("connect child");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
@@ -540,7 +547,7 @@ fn drain_kill_in_the_socket_server_leaves_every_tenant_recoverable() {
     .expect("send shutdown");
     drop(stream);
 
-    let status = child.wait().expect("wait for child");
+    let status = child.0.wait().expect("wait for child");
     assert!(
         !status.success(),
         "the drain kill must abort the child (it exited cleanly)"
